@@ -12,7 +12,8 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
+
+from sympy import divisors
 
 from . import __version__
 from .golden_ring import Modulus, parse_golden
@@ -30,6 +31,9 @@ from .verify import REGISTRY, run_all, run_check
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_UNDECIDED = 2
+
+IDEAL_HELP = ("ideal generator, e.g. 2+L; write one with a leading minus "
+              "as --ideal=-3-L")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,10 +95,7 @@ def cmd_closure(args) -> int:
     h = normal_closure(q, [seed])
     matches = []
     if mod.kind == "rational":
-        n = mod.generator.a
-        for d in range(1, n + 1):
-            if n % d:
-                continue
+        for d in divisors(mod.generator.a):
             k = kernel_subgroup(q, Modulus.rational(d))
             if k.members == h.members:
                 matches.append(d)
@@ -187,7 +188,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("quotient", help="order of the image mod a modulus")
     sp.add_argument("--mod", type=int)
-    sp.add_argument("--ideal")
+    sp.add_argument("--ideal", help=IDEAL_HELP)
     sp.add_argument("--homogeneous", action="store_true")
     sp.add_argument("--histogram", action="store_true")
     common(sp)
@@ -195,7 +196,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("closure", help="normal closure of a word in a quotient")
     sp.add_argument("--mod", type=int)
-    sp.add_argument("--ideal")
+    sp.add_argument("--ideal", help=IDEAL_HELP)
     sp.add_argument("--seed", required=True, help='word, e.g. "T^4"')
     common(sp)
     sp.set_defaults(fn=cmd_closure)

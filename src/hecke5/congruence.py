@@ -12,16 +12,19 @@ finite quotient G5/G(M).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import reduce
-from itertools import permutations
 from math import lcm
 
-from sympy.combinatorics.fp_groups import FpGroup, coset_enumeration_r
+from sympy.combinatorics.fp_groups import (
+    FpGroup, coset_enumeration_r, low_index_subgroups,
+)
 from sympy.combinatorics.free_groups import free_group
 
 from . import __version__
-from .golden_ring import GoldenInt, Modulus, classify_rational_prime, gcd as golden_gcd
+from .golden_ring import (
+    GoldenInt, Modulus, classify_rational_prime, factor, gcd as golden_gcd,
+)
 from .hecke_matrices import Word, eval_word, word
 from .quotients import QuotientGroup, build_quotient, subgroup_closure
 
@@ -112,12 +115,15 @@ def coset_table(generators: list[Word], cap: int = DEFAULT_COSET_CAP) -> CosetTa
         raise UndecidedError(f"coset enumeration exceeded {cap} cosets") from exc
     table.compress()
     table.standardize()
-    # columns follow table.A = [s, s^-1, u, u^-1]
-    n = len(table.table)
-    perm_s = tuple(table.table[i][0] for i in range(n))
-    perm_u = tuple(table.table[i][2] for i in range(n))
-    perm_t = tuple(perm_u[perm_s[i]] for i in range(n))
-    return CosetTable(perm_s, perm_t)
+    return CosetTable(*_s_and_t(table.table))
+
+
+def _s_and_t(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """S- and T-actions from the rows of a sympy coset table."""
+    # columns follow CosetTable.A = [s, s^-1, u, u^-1]
+    perm_s = tuple(row[0] for row in rows)
+    perm_u = tuple(row[2] for row in rows)
+    return perm_s, tuple(perm_u[j] for j in perm_s)
 
 
 def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
@@ -187,16 +193,7 @@ class CongruenceReport:
         return self.verdict == "congruence"
 
     def to_dict(self) -> dict:
-        return {
-            "version": __version__,
-            "index": self.index,
-            "geometric_level": self.geometric_level,
-            "test_modulus": self.test_modulus,
-            "quotient_order": self.quotient_order,
-            "image_order": self.image_order,
-            "verdict": self.verdict,
-            "algebraic_level": self.algebraic_level,
-        }
+        return {"version": __version__, **asdict(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -204,15 +201,8 @@ class CongruenceReport:
     @staticmethod
     def from_json(text: str) -> "CongruenceReport":
         d = json.loads(text)
-        return CongruenceReport(
-            index=d["index"],
-            geometric_level=d["geometric_level"],
-            test_modulus=d["test_modulus"],
-            quotient_order=d["quotient_order"],
-            image_order=d["image_order"],
-            verdict=d["verdict"],
-            algebraic_level=d["algebraic_level"],
-        )
+        return CongruenceReport(**{f.name: d[f.name]
+                                   for f in fields(CongruenceReport)})
 
 
 def _image_order(generators: list[Word], modulus: Modulus) -> tuple[int, int]:
@@ -242,34 +232,16 @@ def is_congruence(generators: list[Word],
 
 def _ideal_divisors(n: int) -> list[GoldenInt]:
     """All ideal divisors of (n) in Z[L], one canonical generator each."""
-    factors: dict[int, int] = {}
-    x, p = n, 2
-    while p * p <= x:
-        while x % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            p_ = p
-            x //= p_
-        p += 1
-    if x > 1:
-        factors[x] = factors.get(x, 0) + 1
-    prime_powers: list[list[GoldenInt]] = []
-    for p, k in factors.items():
+    divisors = [GoldenInt(1, 0)]
+    for p, k in factor(n).items():
         cls = classify_rational_prime(p)
         mult = 2 if cls.kind == "ramified" else 1  # (5) = (2+L)^2 up to a unit
         for g in cls.factors:
-            prime_powers.append([_golden_pow(g, e)
-                                 for e in range(0, k * mult + 1)])
-    divisors = [GoldenInt(1, 0)]
-    for powers in prime_powers:
-        divisors = [d * q for d in divisors for q in powers]
+            powers = [GoldenInt(1, 0)]
+            for _ in range(k * mult):
+                powers.append(powers[-1] * g)
+            divisors = [d * q for d in divisors for q in powers]
     return divisors
-
-
-def _golden_pow(g: GoldenInt, e: int) -> GoldenInt:
-    out = GoldenInt(1, 0)
-    for _ in range(e):
-        out = out * g
-    return out
 
 
 def algebraic_level(generators: list[Word], index: int, big: int) -> Modulus:
@@ -310,34 +282,27 @@ def _canonical(perm_s, perm_t, base: int = 0):
     return new_s, new_t
 
 
-def _perms_of_order_dividing(n: int, k: int):
-    for p in permutations(range(n)):
-        j = list(range(n))
-        ok = True
-        for _ in range(k):
-            j = [p[x] for x in j]
-        if j == list(range(n)):
-            yield tuple(p)
-
-
 def enumerate_index(n: int) -> list[CosetTable]:
-    """One coset table per index-n subgroup (distinct stabilizers of point 0)."""
+    """One coset table per index-n subgroup (distinct stabilizers of point 0).
+
+    Sims' low-index algorithm gives one table per conjugacy class; moving
+    the base point through every coset gives each conjugate.
+    """
     if n < 1:
         raise ValueError("index must be positive")
-    if n > 7:
-        raise ValueError("census limited to index <= 7")
+    if n > 10:
+        raise ValueError("census limited to index <= 10")
     seen = set()
     out = []
-    for sigma_s in _perms_of_order_dividing(n, 2):
-        for sigma_u in _perms_of_order_dividing(n, 5):
-            sigma_t = tuple(sigma_u[sigma_s[i]] for i in range(n))
-            if len(_orbit_of(0, (sigma_s, sigma_t))) != n:
-                continue
-            key = _canonical(sigma_s, sigma_t)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(CosetTable(*key))
+    for c in low_index_subgroups(_PRESENTATION, n):
+        if len(c.table) != n:
+            continue
+        perm_s, perm_t = _s_and_t(c.table)
+        for base in range(n):
+            key = _canonical(perm_s, perm_t, base)
+            if key not in seen:
+                seen.add(key)
+                out.append(CosetTable(*key))
     return out
 
 

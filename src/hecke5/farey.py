@@ -133,14 +133,6 @@ def _parse_label(s: str) -> Label:
 # Side pairings.
 
 
-def _columns(u: Cusp, v: Cusp) -> GMat | None:
-    """Matrix [u v] if its determinant is a unit, else None."""
-    det = u.num * v.den - v.num * u.den
-    if abs(det.norm()) != 1:
-        return None
-    return u, v, det
-
-
 def _pair_even(u: Cusp, v: Cusp) -> GMat:
     """Trace-0 element swapping u and v: W R W^-1 with R the quarter turn."""
     det = u.num * v.den - v.num * u.den

@@ -113,7 +113,7 @@ LAMBDA = GoldenInt(0, 1)
 
 _GOLDEN_RE = re.compile(
     r"""^\s*
-    (?:(?P<a>[+-]?\d+)\s*)?                       # integer part
+    (?:(?P<a>[+-]?\d+)\s*(?=[+-]|$))?             # integer part: ends at a sign or the end
     (?:(?P<sign>[+-])?\s*(?:(?P<b>\d+)\s*\*\s*)?(?P<lam>L))?   # lambda part
     \s*$""",
     re.VERBOSE,
@@ -128,20 +128,10 @@ def parse_golden(text: str) -> GoldenInt:
     a = int(m.group("a")) if m.group("a") is not None else 0
     if m.group("lam") is None:
         return GoldenInt(a, 0)
-    if m.group("a") is not None and m.group("sign") is None:
-        raise ValueError(f"malformed ring element: {text!r}")
     b = int(m.group("b")) if m.group("b") is not None else 1
     if m.group("sign") == "-":
         b = -b
     return GoldenInt(a, b)
-
-
-def mul(x: GoldenInt, y: GoldenInt) -> GoldenInt:
-    return x * y
-
-
-def norm(x: GoldenInt) -> int:
-    return x.norm()
 
 
 def power_lambda(n: int) -> GoldenInt:
@@ -318,10 +308,6 @@ class ResidueClass:
         return f"{self.lift()} mod {self.modulus}"
 
 
-def reduce(x: GoldenInt, m: Modulus) -> ResidueClass:
-    return m.reduce(x)
-
-
 def rational_integer_below(m: Modulus) -> int:
     """Smallest positive rational integer in the ideal."""
     return m.d1
@@ -339,8 +325,24 @@ class PrimeClassification:
     factors: tuple[GoldenInt, ...]
 
 
+def factor(n: int) -> dict[int, int]:
+    """Prime factorisation {p: exponent} of n >= 1 by trial division."""
+    if n < 1:
+        raise ValueError(f"cannot factor {n}")
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
 def classify_rational_prime(p: int) -> PrimeClassification:
-    if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+    if p < 2 or factor(p) != {p: 1}:
         raise ValueError(f"{p} is not prime")
     if p == 5:
         return PrimeClassification("ramified", (RAMIFIED_PRIME,))

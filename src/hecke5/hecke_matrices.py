@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .golden_ring import (
     GoldenInt, LAMBDA, ONE, ZERO,
-    emb_abs_less, emb_ratio_round, parse_golden,
+    emb_abs_less, emb_ratio_round, factor, parse_golden,
 )
 
 
@@ -286,16 +286,6 @@ def _base_words(n: int) -> dict[str, Word]:
     return {"A": a, "B": b, "C": c, "D": d, "E": e, "F": f, "G": g, "H": h}
 
 
-def _min_odd_prime_divisor(m: int) -> int | None:
-    """Smallest odd prime divisor of an odd m, or None for m = 1."""
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
-            return d
-        d += 2
-    return m if m > 1 else None
-
-
 def delta_m_words(m: int) -> list[Word]:
     """The six normal-closure witness words for T^m.
 
@@ -306,7 +296,7 @@ def delta_m_words(m: int) -> list[Word]:
     if m < 1:
         raise ValueError("m must be positive")
     w = _base_words(m)
-    p = _min_odd_prime_divisor(_odd_part(m))
+    p = min((q for q in factor(m) if q % 2), default=None)
     r = 1 if p is None else ((p + 1) // 2)  # minimal r with 2r = 1 (mod p)
     x = (w["G"] * w["E"] * w["G"] * w["F"])
     xs = EMPTY_WORD
@@ -314,12 +304,6 @@ def delta_m_words(m: int) -> list[Word]:
         xs = xs * x
     s, t1 = _s_word(), word([("T", 1)])
     return [w["A"], w["B"], w["C"], _conj(s, xs), xs, _conj(t1, xs)]
-
-
-def _odd_part(m: int) -> int:
-    while m % 2 == 0:
-        m //= 2
-    return m
 
 
 def delta_m(m: int) -> list[ProjMat]:

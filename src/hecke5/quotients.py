@@ -10,7 +10,9 @@ in `closure.py` applies unchanged.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
+import tempfile
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -21,9 +23,9 @@ from pathlib import Path
 from .closure import ClosureCapExceeded, element_order, generated_closure
 from .closure import normal_closure as _normal_closure_engine
 from .golden_ring import (
-    GoldenInt, Modulus, classify_rational_prime, rational_integer_below,
+    GoldenInt, Modulus, classify_rational_prime, factor, rational_integer_below,
 )
-from .hecke_matrices import GMat, ProjMat, S_MAT, T_MAT
+from .hecke_matrices import GMat, IDENTITY, ProjMat, S_MAT, T_MAT
 
 DEFAULT_RING_CAP = 1_000_000
 DEFAULT_ELEMENT_CAP = 2_000_000
@@ -36,6 +38,13 @@ class QuotientCapError(RuntimeError):
         super().__init__(message or
                          f"quotient cap exceeded (partial count {partial_count})")
         self.partial_count = partial_count
+
+
+def _signed(red, t: Key) -> Key:
+    """The smaller of t and -t: the key of a matrix taken up to sign."""
+    n = (red(-t[0], -t[1]) + red(-t[2], -t[3])
+         + red(-t[4], -t[5]) + red(-t[6], -t[7]))
+    return n if n < t else t
 
 
 def _make_mult(modulus: Modulus, projective: bool):
@@ -54,12 +63,7 @@ def _make_mult(modulus: Modulus, projective: bool):
             + red(xe * yc + xf * yd + xg * yg + xh * yh,
                   xe * yd + xf * yc + xf * yd + xg * yh + xh * yg + xh * yh)
         )
-        if projective:
-            n = (red(-t[0], -t[1]) + red(-t[2], -t[3])
-                 + red(-t[4], -t[5]) + red(-t[6], -t[7]))
-            if n < t:
-                return n
-        return t
+        return _signed(red, t) if projective else t
 
     return mult
 
@@ -81,8 +85,7 @@ class QuotientGroup:
 
     @property
     def identity(self) -> Key:
-        return self.key_of(GMat(GoldenInt(1, 0), GoldenInt(0, 0),
-                                GoldenInt(0, 0), GoldenInt(1, 0)))
+        return self.key_of(IDENTITY)
 
     def mult(self, x: Key, y: Key) -> Key:
         return self._mult(x, y)
@@ -93,24 +96,14 @@ class QuotientGroup:
         red = self.modulus.reduce_pair
         t: Key = (red(m.e11.a, m.e11.b) + red(m.e12.a, m.e12.b)
                   + red(m.e21.a, m.e21.b) + red(m.e22.a, m.e22.b))
-        if self.projective:
-            n = (red(-t[0], -t[1]) + red(-t[2], -t[3])
-                 + red(-t[4], -t[5]) + red(-t[6], -t[7]))
-            if n < t:
-                return n
-        return t
+        return _signed(red, t) if self.projective else t
 
     def inv_key(self, x: Key) -> Key:
         # det = 1 mod modulus, so the inverse is the reduced adjugate
         red = self.modulus.reduce_pair
         t = (red(x[6], x[7]) + red(-x[2], -x[3])
              + red(-x[4], -x[5]) + red(x[0], x[1]))
-        if self.projective:
-            n = (red(-t[0], -t[1]) + red(-t[2], -t[3])
-                 + red(-t[4], -t[5]) + red(-t[6], -t[7]))
-            if n < t:
-                return n
-        return t
+        return _signed(red, t) if self.projective else t
 
     def element_order(self, x: Key) -> int:
         return element_order(x, self.identity, self._mult)
@@ -130,8 +123,9 @@ class SubgroupHandle:
         return len(self.members)
 
 
-def _build_quotient_uncached(modulus: Modulus, projective: bool,
-                             ring_cap: int, element_cap: int) -> QuotientGroup:
+@lru_cache(maxsize=64)
+def _build_quotient(modulus: Modulus, projective: bool,
+                    ring_cap: int, element_cap: int) -> QuotientGroup:
     if modulus.ring_size > ring_cap:
         raise QuotientCapError(
             0, f"residue ring size {modulus.ring_size} exceeds cap {ring_cap}")
@@ -147,12 +141,6 @@ def _build_quotient_uncached(modulus: Modulus, projective: bool,
                          gen_s, gen_t, mult)
 
 
-@lru_cache(maxsize=64)
-def _build_quotient_cached(modulus: Modulus, projective: bool,
-                           ring_cap: int, element_cap: int) -> QuotientGroup:
-    return _build_quotient_uncached(modulus, projective, ring_cap, element_cap)
-
-
 def build_quotient(modulus: Modulus, projective: bool = True,
                    ring_cap: int = DEFAULT_RING_CAP,
                    element_cap: int = DEFAULT_ELEMENT_CAP,
@@ -160,17 +148,21 @@ def build_quotient(modulus: Modulus, projective: bool = True,
     """BFS closure of {S, T} mod `modulus`.
 
     With `cache_dir` set, completed quotients are stored on disk keyed by a
-    content hash and reloaded transparently.
+    content hash and reloaded transparently.  A cache file that does not
+    load (bad magic, truncated) counts as a miss and is rewritten.
     """
-    if cache_dir is not None:
-        path = Path(cache_dir) / _cache_name(modulus, projective)
-        if path.exists():
+    if cache_dir is None:
+        return _build_quotient(modulus, projective, ring_cap, element_cap)
+    path = Path(cache_dir) / _cache_name(modulus, projective)
+    if path.exists():
+        try:
             return _load_quotient(path, modulus, projective)
-        q = _build_quotient_cached(modulus, projective, ring_cap, element_cap)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _save_quotient(q, path)
-        return q
-    return _build_quotient_cached(modulus, projective, ring_cap, element_cap)
+        except (ValueError, struct.error):
+            pass
+    q = _build_quotient(modulus, projective, ring_cap, element_cap)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _save_quotient(q, path)
+    return q
 
 
 def residue_ambient(modulus: Modulus, projective: bool = True) -> QuotientGroup:
@@ -191,15 +183,23 @@ def _cache_name(modulus: Modulus, projective: bool) -> str:
 
 
 def _save_quotient(q: QuotientGroup, path: Path) -> None:
+    """Write to a temporary file beside `path`, then rename it into place,
+    so a crash mid-write never leaves a partial file under the cache name."""
     flat = array("q")
     flat.extend(q.gen_S)
     flat.extend(q.gen_T)
     for el in sorted(q.elements):
         flat.extend(el)
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<Q", q.order))
-        fh.write(flat.tobytes())
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_CACHE_MAGIC)
+            fh.write(struct.pack("<Q", q.order))
+            fh.write(flat.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _load_quotient(path: Path, modulus: Modulus, projective: bool) -> QuotientGroup:
@@ -261,12 +261,9 @@ def kernel_subgroup(q: QuotientGroup, m: Modulus) -> SubgroupHandle:
 
 def check_elementary_abelian(h: SubgroupHandle, p: int) -> bool:
     """True iff h is abelian with every non-identity element of order p."""
-    n = h.order
-    if n == 1:
+    if h.order == 1:
         return True
-    while n % p == 0:
-        n //= p
-    if n != 1:
+    if set(factor(h.order)) != {p}:
         return False
     q = h.parent
     gens = h.seeds if h.seeds else tuple(h.members)
@@ -301,21 +298,9 @@ def _generating_subset(q: QuotientGroup, members: frozenset[Key]) -> tuple[Key, 
 
 def _prime_ideal_divisors(m: Modulus) -> list[tuple[GoldenInt, int]]:
     """Distinct prime ideal divisors of m with their residue field sizes N(P)."""
-    n = rational_integer_below(m)
     out: list[tuple[GoldenInt, int]] = []
-    d = 2
-    rest = n
-    rational_primes = []
-    while d * d <= rest:
-        if rest % d == 0:
-            rational_primes.append(d)
-            while rest % d == 0:
-                rest //= d
-        d += 1
-    if rest > 1:
-        rational_primes.append(rest)
     gen = m.generator
-    for p in rational_primes:
+    for p in factor(rational_integer_below(m)):
         cls = classify_rational_prime(p)
         for f in cls.factors:
             if gen.divisible_by(f):

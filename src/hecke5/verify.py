@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .golden_ring import GoldenInt, Modulus, parse_golden
+from .golden_ring import GoldenInt, Modulus, factor, parse_golden
 from . import modular_oracle as oracle
 from .hecke_matrices import (
     appendix_b_set, appendix_c_set, decompose, delta_m, delta_m_words,
@@ -55,7 +55,7 @@ def check_index_formula(a: str) -> CheckResult:
 def check_delta_grid(m: int, p: int) -> CheckResult:
     """Six translation-conjugate generators mod mp: elementary abelian p^6."""
     amb = residue_ambient(Modulus.rational(m * p), projective=True)
-    if any(m % q == 0 for q in range(3, m + 1, 2) if _is_prime(q)):
+    if any(q % 2 for q in factor(m)):  # m has an odd prime factor
         gens = delta_m(m)
     else:
         gens = elementary_generators(m)
@@ -284,7 +284,3 @@ def _parse_modulus(text: str) -> Modulus:
     if g.b == 0:
         return Modulus.rational(g.a)
     return Modulus.ideal(g)
-
-
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))

@@ -26,6 +26,14 @@ class TestQuotient:
         assert code == 0
         assert "order 60" in out
 
+    @pytest.mark.parametrize("ideal,order", [("10*L", 75000), ("-3-L", 660)])
+    def test_ideal_written_with_equals(self, capsys, ideal, order):
+        # a value with a leading minus must be attached with "="
+        code, out, _ = invoke(capsys, "quotient", f"--ideal={ideal}",
+                              "--no-cache")
+        assert code == 0
+        assert f"order {order}" in out
+
     def test_homogeneous(self, capsys):
         code, out, _ = invoke(
             capsys, "quotient", "--mod", "6", "--homogeneous", "--no-cache")

@@ -161,9 +161,18 @@ class TestAlgebraicLevel:
 
 
 class TestCensus:
-    @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 0), (4, 0)])
+    # Counts of subgroups of C2 * C5 from Hall's formula, which counts
+    # homomorphisms to S_n and never enumerates a subgroup: an independent
+    # check that agrees with enumerate_index at every index up to 10.
+    @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 0), (4, 0),
+                                         (5, 26), (6, 60), (7, 56), (8, 32)])
     def test_small_indexes(self, n, count):
         assert len(enumerate_index(n)) == count
+
+    @pytest.mark.parametrize("n", [0, 11])
+    def test_index_out_of_range(self, n):
+        with pytest.raises(ValueError):
+            enumerate_index(n)
 
     def test_index_five(self):
         tabs = enumerate_index(5)

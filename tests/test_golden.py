@@ -1,9 +1,12 @@
+from math import prod
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from sympy import isprime
 
 from hecke5.golden_ring import (
     GoldenInt, LAMBDA, ONE, ZERO, Modulus, RAMIFIED_PRIME,
-    canonical_associate, classify_rational_prime, emb_abs_less,
+    canonical_associate, classify_rational_prime, emb_abs_less, factor,
     emb_ratio_round, emb_sign, gcd, is_associate, parse_golden, power_lambda,
     rational_integer_below,
 )
@@ -48,6 +51,9 @@ def test_conjugation(x):
 
 
 @given(elems)
+@example(GoldenInt(0, 10))
+@example(GoldenInt(0, -10))
+@example(GoldenInt(-7, -12))
 def test_parse_roundtrip(x):
     assert parse_golden(str(x)) == x
 
@@ -116,6 +122,19 @@ def test_classification():
 def test_classification_rejects_composite():
     with pytest.raises(ValueError):
         classify_rational_prime(6)
+
+
+@pytest.mark.parametrize("n", range(1, 301))
+def test_factor(n):
+    f = factor(n)
+    assert prod(p**e for p, e in f.items()) == n
+    assert all(isprime(p) and e >= 1 for p, e in f.items())
+
+
+@pytest.mark.parametrize("n", [0, -4])
+def test_factor_rejects_nonpositive(n):
+    with pytest.raises(ValueError):
+        factor(n)
 
 
 @given(small.filter(bool), small.filter(bool))

@@ -153,3 +153,15 @@ def test_disk_cache_roundtrip(tmp_path):
     assert first.elements == again.elements
     assert first.gen_S == again.gen_S and first.gen_T == again.gen_T
     assert len(list(tmp_path.iterdir())) == 1
+
+
+@pytest.mark.parametrize("garbage", [b"not a quotient cache file", b"HQC1\x05"])
+def test_disk_cache_bad_file_is_rebuilt(tmp_path, garbage):
+    mod = Modulus.rational(8)
+    build_quotient(mod, cache_dir=tmp_path)
+    (path,) = tmp_path.iterdir()
+    path.write_bytes(garbage)
+    assert build_quotient(mod, cache_dir=tmp_path).order == 10240
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() != garbage
+    assert build_quotient(mod, cache_dir=tmp_path).order == 10240
