@@ -19,7 +19,7 @@ from . import __version__
 from .golden_ring import Modulus, parse_golden
 from .hecke_matrices import NotInG5Error, decompose, eval_word, parse_word
 from .quotients import (
-    QuotientCapError, build_quotient, kernel_subgroup, normal_closure,
+    QuotientCapError, build_quotient, kernel_predicate, normal_closure,
 )
 from .congruence import (
     UndecidedError, coset_table, enumerate_index, geometric_level_from_table,
@@ -42,14 +42,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _emit(args, records: list[dict], text_lines: list[str]) -> None:
-    if args.format == "json":
-        print(json.dumps({"record": "version", "version": __version__}))
-        for r in records:
-            print(json.dumps(r, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def _emit(args, items) -> None:
+    """Print (record, text line) pairs as they come; either may be None.
+
+    JSON output is headed by a version record.  Each line is flushed, so a
+    generator of items streams rows as they are decided.
+    """
+    json_out = args.format == "json"
+    if json_out:
+        print(json.dumps({"record": "version", "version": __version__}),
+              flush=True)
+    for rec, line in items:
+        if json_out and rec is not None:
+            print(json.dumps(rec, sort_keys=True), flush=True)
+        elif not json_out and line is not None:
+            print(line, flush=True)
 
 
 def _modulus(args) -> Modulus:
@@ -78,34 +85,41 @@ def cmd_quotient(args) -> int:
     q = build_quotient(mod, projective=not args.homogeneous, **_quotient_kwargs(args))
     rec = {"record": "quotient", "modulus": str(mod), "order": q.order,
            "projective": q.projective}
-    lines = [f"quotient mod {mod}: order {q.order}"]
+    items = [(rec, f"quotient mod {mod}: order {q.order}")]
     if args.histogram:
         hist = q.order_histogram()
         rec["order_histogram"] = {str(k): v for k, v in sorted(hist.items())}
-        lines.append("element orders: "
-                     + ", ".join(f"{k}:{v}" for k, v in sorted(hist.items())))
-    _emit(args, [rec], lines)
+        items.append((None, "element orders: "
+                      + ", ".join(f"{k}:{v}" for k, v in sorted(hist.items()))))
+    _emit(args, items)
     return EXIT_OK
 
 
 def cmd_closure(args) -> int:
     mod = _modulus(args)
-    q = build_quotient(mod, projective=True, **_quotient_kwargs(args))
+    kw = _quotient_kwargs(args)
+    q = build_quotient(mod, projective=True, **kw)
     seed = eval_word(parse_word(args.seed))
     h = normal_closure(q, [seed])
+    # d is a kernel level iff h lies in the kernel of Q(M) -> Q(d) and has
+    # its order |Q(M)| / |Q(d)|; reduction onto Q(d) is surjective.
     matches = []
     if mod.kind == "rational":
-        for d in divisors(mod.generator.a):
-            k = kernel_subgroup(q, Modulus.rational(d))
-            if k.members == h.members:
+        n = mod.generator.a
+        for d in divisors(n):
+            level = Modulus.rational(d)
+            if not all(map(kernel_predicate(q, level), h.members)):
+                continue
+            qd = q if d == n else build_quotient(level, projective=True, **kw)
+            if h.order * qd.order == q.order:
                 matches.append(d)
     rec = {"record": "closure", "modulus": str(mod), "seed": args.seed,
            "order": h.order, "kernel_levels": matches}
-    lines = [f"normal closure of {args.seed} mod {mod}: order {h.order}"]
+    items = [(rec, f"normal closure of {args.seed} mod {mod}: order {h.order}")]
     if matches:
-        lines.append("equals kernel of reduction to level "
-                     + ", ".join(map(str, matches)))
-    _emit(args, [rec], lines)
+        items.append((None, "equals kernel of reduction to level "
+                      + ", ".join(map(str, matches))))
+    _emit(args, items)
     return EXIT_OK
 
 
@@ -117,9 +131,9 @@ def cmd_verify(args) -> int:
                             a=args.a, b=args.b, r=args.r, s=args.s, pi=args.pi)
     else:
         raise ValueError("give --lemma ID or --all")
-    recs = [{"record": "check", "id": r.check_id, "params": r.params,
-             "passed": r.passed, "detail": r.detail} for r in results]
-    _emit(args, recs, [r.line() for r in results])
+    _emit(args, [({"record": "check", "id": r.check_id, "params": r.params,
+                   "passed": r.passed, "detail": r.detail}, r.line())
+                 for r in results])
     return EXIT_OK if all(r.passed for r in results) else EXIT_INPUT
 
 
@@ -136,41 +150,42 @@ def _input_words(args) -> list:
 def cmd_congruence(args) -> int:
     words = _input_words(args)
     report = is_congruence(words)
-    lines = [
-        f"index {report.index}, geometric level {report.geometric_level}, "
-        f"test modulus {report.test_modulus}",
-        f"quotient order {report.quotient_order}, image order {report.image_order}",
-        f"verdict: {report.verdict}"
-        + (f", algebraic level {report.algebraic_level}"
-           if report.algebraic_level else ""),
-    ]
     rec = report.to_dict()
     rec["record"] = "congruence"
-    _emit(args, [rec], lines)
+    _emit(args, [
+        (rec, f"index {report.index}, geometric level {report.geometric_level}, "
+              f"test modulus {report.test_modulus}"),
+        (None, f"quotient order {report.quotient_order}, "
+               f"image order {report.image_order}"),
+        (None, f"verdict: {report.verdict}"
+               + (f", algebraic level {report.algebraic_level}"
+                  if report.algebraic_level else "")),
+    ])
     return EXIT_OK
 
 
 def cmd_census(args) -> int:
     tables = enumerate_index(args.index)
-    recs, lines = [], []
-    for i, t in enumerate(tables):
-        level = geometric_level_from_table(t)
-        normal = is_normal_table(t)
-        report = is_congruence(schreier_generators(t), table=t)
-        note = "unasserted" if normal and args.index == 5 else ""
-        rec = {"record": "census-row", "id": i, "index": t.degree,
-               "v2": sum(1 for j in range(t.degree) if t.perm_s[j] == j),
-               "geometric_level": level, "normal": normal,
-               "verdict": report.verdict,
-               "algebraic_level": report.algebraic_level, "note": note}
-        recs.append(rec)
-        lines.append(
-            f"#{i}: index {t.degree}, v2 {rec['v2']}, level {level}, "
-            f"{'normal, ' if normal else ''}{report.verdict}"
-            + (f" ({report.algebraic_level})" if report.algebraic_level else "")
-            + (f" [{note}]" if note else ""))
-    lines.append(f"total: {len(tables)} subgroups of index {args.index}")
-    _emit(args, recs, lines)
+
+    def rows():  # each row is printed as soon as it is decided
+        for i, t in enumerate(tables):
+            level = geometric_level_from_table(t)
+            normal = is_normal_table(t)
+            report = is_congruence(schreier_generators(t), table=t)
+            note = "unasserted" if normal and args.index == 5 else ""
+            rec = {"record": "census-row", "id": i, "index": t.degree,
+                   "v2": sum(1 for j in range(t.degree) if t.perm_s[j] == j),
+                   "geometric_level": level, "normal": normal,
+                   "verdict": report.verdict,
+                   "algebraic_level": report.algebraic_level, "note": note}
+            yield rec, (
+                f"#{i}: index {t.degree}, v2 {rec['v2']}, level {level}, "
+                f"{'normal, ' if normal else ''}{report.verdict}"
+                + (f" ({report.algebraic_level})" if report.algebraic_level else "")
+                + (f" [{note}]" if note else ""))
+        yield None, f"total: {len(tables)} subgroups of index {args.index}"
+
+    _emit(args, rows())
     return EXIT_OK
 
 

@@ -1,8 +1,12 @@
-"""Generic breadth-first closure over a finite group given by hashable keys.
+"""Closures over a finite group given by hashable keys.
 
-Both the Hecke-quotient and the modular-oracle backends drive the same three
-routines; a backend only has to provide `mult`, an identity key, and (for
-normal closures) the designated conjugating generators with their inverses.
+Both the Hecke-quotient and the modular-oracle backends drive the same
+routines: `generated_closure` is the breadth-first orbit of the identity
+under right actions (the ambient group from its generators), and
+`subgroup` and `normal_closure` build a subgroup one generator at a time
+by Dimino's algorithm.  A backend provides `mult`, an identity key, and
+(for normal closures) the designated conjugating generators with their
+inverses.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from typing import Callable, Hashable, Iterable
 
 Key = Hashable
 Mult = Callable[[Key, Key], Key]
+Action = Callable[[Key], Key]
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -20,16 +25,17 @@ class ClosureCapExceeded(RuntimeError):
         self.partial_count = partial_count
 
 
-def generated_closure(identity: Key, generators: Iterable[Key], mult: Mult,
+def generated_closure(identity: Key, actions: Iterable[Action],
                       cap: int | None = None) -> set[Key]:
-    """The subgroup generated by `generators` (finite ambient assumed)."""
-    gens = list(dict.fromkeys(generators))
+    """The subgroup generated by the elements whose right multiplications
+    are `actions` (finite ambient assumed): the orbit of `identity`."""
+    actions = list(actions)
     seen = {identity}
     frontier = deque([identity])
     while frontier:
         x = frontier.popleft()
-        for g in gens:
-            y = mult(x, g)
+        for act in actions:
+            y = act(x)
             if y not in seen:
                 if cap is not None and len(seen) >= cap:
                     raise ClosureCapExceeded(len(seen))
@@ -38,27 +44,69 @@ def generated_closure(identity: Key, generators: Iterable[Key], mult: Mult,
     return seen
 
 
+def subgroup(identity: Key, generators: Iterable[Key], mult: Mult,
+             cap: int | None = None) -> set[Key]:
+    """The subgroup generated by `generators`, by Dimino's algorithm."""
+    return _dimino(identity, generators, mult, (), cap)
+
+
 def normal_closure(identity: Key, seeds: Iterable[Key], mult: Mult,
-                   conjugators: list[tuple[Key, Key]],
+                   conjugators: Iterable[tuple[Key, Key]],
                    cap: int | None = None) -> set[Key]:
     """Smallest subgroup containing `seeds` closed under the given conjugations.
 
     `conjugators` is a list of (g, g^-1) pairs; the result is the normal
     closure of the seeds when the conjugators generate the ambient group.
     """
-    gens = list(dict.fromkeys(seeds))
-    members = generated_closure(identity, gens, mult, cap)
-    while True:
-        new = []
-        for x in members:
-            for g, ginv in conjugators:
-                y = mult(mult(g, x), ginv)
-                if y not in members:
-                    new.append(y)
-        if not new:
-            return members
-        gens.extend(dict.fromkeys(new))
-        members = generated_closure(identity, gens, mult, cap)
+    return _dimino(identity, seeds, mult, conjugators, cap)
+
+
+def _dimino(identity: Key, seeds: Iterable[Key], mult: Mult,
+            conjugators: Iterable[tuple[Key, Key]],
+            cap: int | None) -> set[Key]:
+    """Dimino's algorithm (Butler, Fundamental Algorithms for Permutation
+    Groups, LNCS 559).
+
+    The members are kept as right cosets H*r of the subgroup H generated so
+    far, one block per representative r.  A new generator g outside H adds
+    the coset H*g; then each new representative times each generator is
+    tested, and a product outside the members adds its whole coset.  The
+    conjugates of each generator are queued as further generators: the
+    subgroup is closed under the conjugations once every conjugate of every
+    generator is a member, so only those are tested.
+    """
+    conjugators = list(conjugators)
+    members = [identity]
+    seen = {identity}
+    gens: list[Key] = []
+    pending = list(dict.fromkeys(seeds))
+    while pending:
+        g = pending.pop()
+        if g in seen:
+            continue
+        gens.append(g)
+        block = members[:]   # the subgroup before g; identity first
+        pos = len(members)
+        _add_coset(members, seen, block, g, mult, cap)
+        while pos < len(members):
+            rep = members[pos]
+            for s in gens:
+                y = mult(rep, s)
+                if y not in seen:
+                    _add_coset(members, seen, block, y, mult, cap)
+            pos += len(block)
+        pending.extend(mult(mult(c, g), cinv) for c, cinv in conjugators)
+    return seen
+
+
+def _add_coset(members: list, seen: set, block: list, r: Key, mult: Mult,
+               cap: int | None) -> None:
+    if cap is not None and len(seen) + len(block) > cap:
+        raise ClosureCapExceeded(len(seen))
+    for h in block:
+        y = mult(h, r)
+        members.append(y)
+        seen.add(y)
 
 
 def element_order(x: Key, identity: Key, mult: Mult, cap: int = 1_000_000) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd as int_gcd, isqrt
 
 
@@ -306,6 +307,50 @@ class ResidueClass:
 
     def __str__(self) -> str:
         return f"{self.lift()} mod {self.modulus}"
+
+
+@dataclass(frozen=True, eq=False)
+class RingTables:
+    """Arithmetic of Z[L]/m on residue indices i = a*d2 + b.
+
+    (a, b) is the canonical pair, 0 <= a < d1 and 0 <= b < d2, so index
+    order is the lexicographic order of pairs.  `neg` and `lam` (times L)
+    have ring_size entries; `add` and `mul` are ring_size rows of ring_size
+    entries.  `ring_tables` caches and shares them: treat them as read-only.
+    """
+
+    modulus: Modulus
+    neg: list[int]
+    lam: list[int]
+    add: list[list[int]]
+    mul: list[list[int]]
+
+    def index(self, a: int, b: int) -> int:
+        """Index of a + b*L for any integers a, b."""
+        d1, d2 = self.modulus.d1, self.modulus.d2
+        # d1 lies in the ideal, so a and b only matter mod d1
+        return self.add[(a % d1) * d2][self.lam[(b % d1) * d2]]
+
+    def pair(self, i: int) -> tuple[int, int]:
+        return divmod(i, self.modulus.d2)
+
+
+@lru_cache(maxsize=64)
+def ring_tables(m: Modulus) -> RingTables:
+    d2 = m.d2
+    ids = list(range(m.ring_size))  # table entries share these int objects
+    pairs = [divmod(i, d2) for i in ids]
+
+    def at(a: int, b: int) -> int:
+        a, b = m.reduce_pair(a, b)
+        return ids[a * d2 + b]
+
+    add = [[at(a1 + a2, b1 + b2) for a2, b2 in pairs] for a1, b1 in pairs]
+    mul = [[at(a1 * a2 + b1 * b2, a1 * b2 + a2 * b1 + b1 * b2)
+            for a2, b2 in pairs] for a1, b1 in pairs]
+    neg = [at(-a, -b) for a, b in pairs]
+    lam = [at(b, a + b) for a, b in pairs]  # L(a + bL) = b + (a + b)L
+    return RingTables(m, neg, lam, add, mul)
 
 
 def rational_integer_below(m: Modulus) -> int:

@@ -1,7 +1,7 @@
 """Classical modular-group analog of the quotient machinery, used as an oracle.
 
-Everything here lives in SL(2, Z/n).  The same breadth-first closure engine
-drives both this module and the Z[L] quotients, so agreement between the two
+Everything here lives in SL(2, Z/n).  The same closure engine drives both
+this module and the Z[L] quotients, so agreement between the two
 backends on the parallel lemma instances is a meaningful cross-check.
 """
 
@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .closure import generated_closure, normal_closure as _normal_closure
+from .closure import subgroup
 
 Key = tuple[int, int, int, int]
 
@@ -64,12 +65,13 @@ def build_sl2_quotient(n: int, cap: int = DEFAULT_CAP) -> IntQuotient:
     mult = _make_mult(n)
     ident = (1 % n, 0, 0, 1 % n)
     gens = [(1 % n, 1 % n, 0, 1 % n), (0, 1 % n, (-1) % n, 0)]
-    elements = frozenset(generated_closure(ident, gens, mult, cap))
+    actions = [lambda x, g=g: mult(x, g) for g in gens]
+    elements = frozenset(generated_closure(ident, actions, cap))
     return IntQuotient(n, elements, mult)
 
 
 def _subgroup_closure(q: IntQuotient, seeds) -> frozenset[Key]:
-    return generated_closure(q.identity, seeds, q.mult, DEFAULT_CAP)
+    return subgroup(q.identity, seeds, q.mult, DEFAULT_CAP)
 
 
 def _closure_normal(q: IntQuotient, seeds) -> frozenset[Key]:

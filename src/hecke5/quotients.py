@@ -2,9 +2,9 @@
 
 A quotient is materialised as the BFS closure of the images of S and T in
 the ring of 2x2 residue matrices mod a `Modulus`, either homogeneously or
-with +-I identified.  Elements are 8-tuples of canonical residue
-coordinates (a, b per entry), so they hash cheaply and the closure engine
-in `closure.py` applies unchanged.
+with +-I identified.  Elements are 4-tuples of residue indices (one per
+entry, see `RingTables`), so they hash cheaply, compare like the entries'
+canonical (a, b) pairs, and multiply by table lookups.
 """
 
 from __future__ import annotations
@@ -14,23 +14,30 @@ import os
 import struct
 import tempfile
 from array import array
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
+from typing import Callable
 
-from .closure import ClosureCapExceeded, element_order, generated_closure
+from .closure import (
+    ClosureCapExceeded, element_order, generated_closure, subgroup,
+)
 from .closure import normal_closure as _normal_closure_engine
 from .golden_ring import (
     GoldenInt, Modulus, classify_rational_prime, factor, rational_integer_below,
+    ring_tables,
 )
 from .hecke_matrices import GMat, IDENTITY, ProjMat, S_MAT, T_MAT
 
-DEFAULT_RING_CAP = 1_000_000
+# The add and mul tables have ring_size**2 entries each: 1M at this cap,
+# the ring of mod 32.
+DEFAULT_RING_CAP = 1024
 DEFAULT_ELEMENT_CAP = 2_000_000
 
-Key = tuple[int, int, int, int, int, int, int, int]
+Key = tuple[int, int, int, int]
 
 
 class QuotientCapError(RuntimeError):
@@ -40,32 +47,43 @@ class QuotientCapError(RuntimeError):
         self.partial_count = partial_count
 
 
-def _signed(red, t: Key) -> Key:
+def _signed(neg: list[int], t: Key) -> Key:
     """The smaller of t and -t: the key of a matrix taken up to sign."""
-    n = (red(-t[0], -t[1]) + red(-t[2], -t[3])
-         + red(-t[4], -t[5]) + red(-t[6], -t[7]))
+    n = (neg[t[0]], neg[t[1]], neg[t[2]], neg[t[3]])
     return n if n < t else t
 
 
 def _make_mult(modulus: Modulus, projective: bool):
-    red = modulus.reduce_pair
+    r = ring_tables(modulus)
+    add, mul, neg = r.add, r.mul, r.neg
 
     def mult(x: Key, y: Key) -> Key:
-        xa, xb, xc, xd, xe, xf, xg, xh = x
-        ya, yb, yc, yd, ye, yf, yg, yh = y
-        t = (
-            red(xa * ya + xb * yb + xc * ye + xd * yf,
-                xa * yb + xb * ya + xb * yb + xc * yf + xd * ye + xd * yf)
-            + red(xa * yc + xb * yd + xc * yg + xd * yh,
-                  xa * yd + xb * yc + xb * yd + xc * yh + xd * yg + xd * yh)
-            + red(xe * ya + xf * yb + xg * ye + xh * yf,
-                  xe * yb + xf * ya + xf * yb + xg * yf + xh * ye + xh * yf)
-            + red(xe * yc + xf * yd + xg * yg + xh * yh,
-                  xe * yd + xf * yc + xf * yd + xg * yh + xh * yg + xh * yh)
-        )
-        return _signed(red, t) if projective else t
+        y0, y1, y2, y3 = y
+        m0, m1, m2, m3 = mul[x[0]], mul[x[1]], mul[x[2]], mul[x[3]]
+        t = (add[m0[y0]][m1[y2]], add[m0[y1]][m1[y3]],
+             add[m2[y0]][m3[y2]], add[m2[y1]][m3[y3]])
+        return _signed(neg, t) if projective else t
 
     return mult
+
+
+def _generator_actions(modulus: Modulus,
+                       projective: bool) -> list[Callable[[Key], Key]]:
+    """Right multiplication by S = (0 1; -1 0) and T = (1 L; 0 1)."""
+    r = ring_tables(modulus)
+    add, lam, neg = r.add, r.lam, r.neg
+
+    def times_s(x: Key) -> Key:  # (a b; c d) S = (-b a; -d c)
+        a, b, c, d = x
+        t = (neg[b], a, neg[d], c)
+        return _signed(neg, t) if projective else t
+
+    def times_t(x: Key) -> Key:  # (a b; c d) T = (a aL+b; c cL+d)
+        a, b, c, d = x
+        t = (a, add[lam[a]][b], c, add[lam[c]][d])
+        return _signed(neg, t) if projective else t
+
+    return [times_s, times_t]
 
 
 @dataclass(frozen=True)
@@ -93,17 +111,16 @@ class QuotientGroup:
     def key_of(self, m: GMat | ProjMat) -> Key:
         if isinstance(m, ProjMat):
             m = m.rep
-        red = self.modulus.reduce_pair
-        t: Key = (red(m.e11.a, m.e11.b) + red(m.e12.a, m.e12.b)
-                  + red(m.e21.a, m.e21.b) + red(m.e22.a, m.e22.b))
-        return _signed(red, t) if self.projective else t
+        r = ring_tables(self.modulus)
+        t = (r.index(m.e11.a, m.e11.b), r.index(m.e12.a, m.e12.b),
+             r.index(m.e21.a, m.e21.b), r.index(m.e22.a, m.e22.b))
+        return _signed(r.neg, t) if self.projective else t
 
     def inv_key(self, x: Key) -> Key:
-        # det = 1 mod modulus, so the inverse is the reduced adjugate
-        red = self.modulus.reduce_pair
-        t = (red(x[6], x[7]) + red(-x[2], -x[3])
-             + red(-x[4], -x[5]) + red(x[0], x[1]))
-        return _signed(red, t) if self.projective else t
+        # det = 1 mod modulus, so the inverse is the adjugate
+        neg = ring_tables(self.modulus).neg
+        t = (x[3], neg[x[1]], neg[x[2]], x[0])
+        return _signed(neg, t) if self.projective else t
 
     def element_order(self, x: Key) -> int:
         return element_order(x, self.identity, self._mult)
@@ -123,22 +140,25 @@ class SubgroupHandle:
         return len(self.members)
 
 
-@lru_cache(maxsize=64)
-def _build_quotient(modulus: Modulus, projective: bool,
-                    ring_cap: int, element_cap: int) -> QuotientGroup:
+def _ambient(modulus: Modulus, projective: bool, ring_cap: int) -> QuotientGroup:
     if modulus.ring_size > ring_cap:
         raise QuotientCapError(
             0, f"residue ring size {modulus.ring_size} exceeds cap {ring_cap}")
     mult = _make_mult(modulus, projective)
-    stub = QuotientGroup(modulus, projective, frozenset(), (), (), mult)
-    gen_s, gen_t = stub.key_of(S_MAT), stub.key_of(T_MAT)
+    stub = QuotientGroup(modulus, projective, None, (), (), mult)
+    return replace(stub, gen_S=stub.key_of(S_MAT), gen_T=stub.key_of(T_MAT))
+
+
+@lru_cache(maxsize=64)
+def _build_quotient(modulus: Modulus, projective: bool,
+                    ring_cap: int, element_cap: int) -> QuotientGroup:
+    q = _ambient(modulus, projective, ring_cap)
     try:
-        elements = generated_closure(stub.identity, [gen_s, gen_t], mult,
-                                     cap=element_cap)
+        elements = generated_closure(
+            q.identity, _generator_actions(modulus, projective), element_cap)
     except ClosureCapExceeded as exc:
         raise QuotientCapError(exc.partial_count) from exc
-    return QuotientGroup(modulus, projective, frozenset(elements),
-                         gen_s, gen_t, mult)
+    return replace(q, elements=frozenset(elements))
 
 
 def build_quotient(modulus: Modulus, projective: bool = True,
@@ -166,18 +186,19 @@ def build_quotient(modulus: Modulus, projective: bool = True,
 
 
 def residue_ambient(modulus: Modulus, projective: bool = True) -> QuotientGroup:
-    """Ambient handle for closures at moduli too large to enumerate fully."""
-    mult = _make_mult(modulus, projective)
-    stub = QuotientGroup(modulus, projective, None, (), (), mult)
-    return QuotientGroup(modulus, projective, None,
-                         stub.key_of(S_MAT), stub.key_of(T_MAT), mult)
+    """Ambient handle for closures at moduli too large to enumerate fully.
+
+    Raises QuotientCapError when the residue ring exceeds DEFAULT_RING_CAP.
+    """
+    return _ambient(modulus, projective, DEFAULT_RING_CAP)
 
 
-_CACHE_MAGIC = b"HQC1"
+# Cache format v2: gen_S, gen_T, then the elements, 4 residue indices each.
+_CACHE_MAGIC = b"HQC2"
 
 
 def _cache_name(modulus: Modulus, projective: bool) -> str:
-    tag = (f"v1|{modulus.kind}|{modulus.generator.a},{modulus.generator.b}"
+    tag = (f"v2|{modulus.kind}|{modulus.generator.a},{modulus.generator.b}"
            f"|{int(projective)}")
     return hashlib.sha256(tag.encode()).hexdigest()[:20] + ".quot"
 
@@ -185,11 +206,7 @@ def _cache_name(modulus: Modulus, projective: bool) -> str:
 def _save_quotient(q: QuotientGroup, path: Path) -> None:
     """Write to a temporary file beside `path`, then rename it into place,
     so a crash mid-write never leaves a partial file under the cache name."""
-    flat = array("q")
-    flat.extend(q.gen_S)
-    flat.extend(q.gen_T)
-    for el in sorted(q.elements):
-        flat.extend(el)
+    flat = array("I", chain(q.gen_S, q.gen_T, chain.from_iterable(q.elements)))
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -207,14 +224,15 @@ def _load_quotient(path: Path, modulus: Modulus, projective: bool) -> QuotientGr
         if fh.read(4) != _CACHE_MAGIC:
             raise ValueError(f"bad quotient cache file {path}")
         (count,) = struct.unpack("<Q", fh.read(8))
-        flat = array("q")
+        flat = array("I")
         flat.frombytes(fh.read())
-    if len(flat) != 8 * (count + 2):
+    if len(flat) != 4 * (count + 2):
         raise ValueError(f"truncated quotient cache file {path}")
-    keys = [tuple(flat[i:i + 8]) for i in range(0, len(flat), 8)]
-    mult = _make_mult(modulus, projective)
+    if flat and max(flat) >= modulus.ring_size:
+        raise ValueError(f"residue index out of range in {path}")
+    keys = list(zip(*[iter(flat)] * 4))
     return QuotientGroup(modulus, projective, frozenset(keys[2:]),
-                         keys[0], keys[1], mult)
+                         keys[0], keys[1], _make_mult(modulus, projective))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +242,7 @@ def _load_quotient(path: Path, modulus: Modulus, projective: bool) -> QuotientGr
 def subgroup_closure(q: QuotientGroup, seeds) -> SubgroupHandle:
     """Smallest subgroup of q containing the seeds."""
     keys = tuple(_as_key(q, s) for s in seeds)
-    members = generated_closure(q.identity, keys, q.mult)
+    members = subgroup(q.identity, keys, q.mult)
     return SubgroupHandle(q, frozenset(members), keys)
 
 
@@ -242,21 +260,27 @@ def _as_key(q: QuotientGroup, seed) -> Key:
     return seed
 
 
-def kernel_subgroup(q: QuotientGroup, m: Modulus) -> SubgroupHandle:
-    """Elements of q congruent to I (homogeneous) or +-I (projective) mod m."""
+def kernel_predicate(q: QuotientGroup, m: Modulus) -> Callable[[Key], bool]:
+    """Test for x congruent to I (homogeneous) or +-I (projective) mod m."""
     if not m.divides(q.modulus):
         raise ValueError(f"{m} does not divide {q.modulus}")
-    red = m.reduce_pair
-    ident = red(1, 0) + red(0, 0) + red(0, 0) + red(1, 0)
-    targets = {ident}
+    big, small = ring_tables(q.modulus), ring_tables(m)
+    down = [small.index(*big.pair(i)) for i in range(q.modulus.ring_size)]
+    one, zero = small.index(1, 0), small.index(0, 0)
+    diagonal = {(one, one)}
     if q.projective:
-        targets.add(red(-1, 0) + red(0, 0) + red(0, 0) + red(-1, 0))
-    members = {
-        x for x in q.elements
-        if (red(x[0], x[1]) + red(x[2], x[3])
-            + red(x[4], x[5]) + red(x[6], x[7])) in targets
-    }
-    return SubgroupHandle(q, frozenset(members))
+        diagonal.add((small.neg[one], small.neg[one]))
+
+    def member(x: Key) -> bool:
+        return (down[x[1]] == zero and down[x[2]] == zero
+                and (down[x[0]], down[x[3]]) in diagonal)
+
+    return member
+
+
+def kernel_subgroup(q: QuotientGroup, m: Modulus) -> SubgroupHandle:
+    """Elements of q congruent to I (homogeneous) or +-I (projective) mod m."""
+    return SubgroupHandle(q, frozenset(filter(kernel_predicate(q, m), q.elements)))
 
 
 def check_elementary_abelian(h: SubgroupHandle, p: int) -> bool:
@@ -286,7 +310,7 @@ def _generating_subset(q: QuotientGroup, members: frozenset[Key]) -> tuple[Key, 
     for x in sorted(members):
         if x not in have:
             gens.append(x)
-            have = generated_closure(q.identity, gens, q.mult)
+            have = subgroup(q.identity, gens, q.mult)
             if len(have) == len(members):
                 break
     return tuple(gens)

@@ -1,7 +1,10 @@
 import json
+import time
+from pathlib import Path
 
 import pytest
 
+from hecke5 import cli
 from hecke5.cli import main
 from hecke5.congruence import CongruenceReport
 
@@ -72,6 +75,13 @@ class TestQuotient:
         assert code == 2
         assert "undecided" in err
 
+    def test_ring_cap_is_undecided_at_once(self, capsys):
+        start = time.perf_counter()
+        code, _, err = invoke(capsys, "quotient", "--mod", "33", "--no-cache")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "undecided: residue ring size 1089 exceeds cap 1024" in err
+
 
 class TestClosure:
     def test_whole_quotient(self, capsys):
@@ -95,6 +105,16 @@ class TestClosure:
         rec = json.loads(out.strip().splitlines()[1])
         assert rec["order"] == 32
         assert rec["kernel_levels"] == []
+
+    @pytest.mark.parametrize("mod,seed,order,levels", [
+        ("16", "T^4", 2048, []), ("12", "T^6", 32, [6]), ("12", "T^2", 1920, [2]),
+    ])
+    def test_kernel_levels(self, capsys, mod, seed, order, levels):
+        code, out, _ = invoke(capsys, "closure", "--mod", mod, "--seed", seed,
+                              "--format", "json", "--no-cache")
+        assert code == 0
+        rec = json.loads(out.strip().splitlines()[1])
+        assert (rec["order"], rec["kernel_levels"]) == (order, levels)
 
     def test_bad_seed_word(self, capsys):
         code, _, err = invoke(capsys, "closure", "--mod", "2",
@@ -184,6 +204,33 @@ class TestCensus:
         normal = next(r for r in rows if r["normal"])
         assert normal["geometric_level"] == 5
         assert normal["note"] == "unasserted"
+
+
+    def test_index_five_text_unchanged(self, capsys):
+        # recorded before rows were streamed; the row order is sympy's
+        # low-index order, so another sympy version may need a new record
+        code, out, _ = invoke(capsys, "census", "--index", "5", "--no-cache")
+        assert code == 0
+        assert out == (Path(__file__).parent / "data" / "census_index5.txt").read_text()
+
+    def test_rows_printed_as_decided(self, capsys, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        decided = []
+
+        def is_congruence(gens, table):
+            if decided:
+                # the first row must already be out when the second is decided
+                assert capsys.readouterr().out.count("census-row") == 1
+                raise Stop
+            decided.append(table)
+            return real(gens, table=table)
+
+        real = cli.is_congruence
+        monkeypatch.setattr(cli, "is_congruence", is_congruence)
+        with pytest.raises(Stop):
+            main(["census", "--index", "5", "--format", "json", "--no-cache"])
 
 
 def test_version_flag(capsys):

@@ -8,7 +8,7 @@ from hecke5.golden_ring import (
     GoldenInt, LAMBDA, ONE, ZERO, Modulus, RAMIFIED_PRIME,
     canonical_associate, classify_rational_prime, emb_abs_less, factor,
     emb_ratio_round, emb_sign, gcd, is_associate, parse_golden, power_lambda,
-    rational_integer_below,
+    rational_integer_below, ring_tables,
 )
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
@@ -189,3 +189,35 @@ class TestModulus:
         assert m.contains(GoldenInt(5, 0))
         assert m.contains(RAMIFIED_PRIME * GoldenInt(-3, 7))
         assert not m.contains(ONE)
+
+
+# Residue-index tables: rational moduli and the ideals 2+L (norm 5) and
+# 4+2*L (norm 20, where d1 != d2 and c != 0).
+table_moduli = st.one_of(
+    st.integers(1, 12).map(Modulus.rational),
+    st.sampled_from([Modulus.ideal(GoldenInt(2, 1)),
+                     Modulus.ideal(GoldenInt(4, 2))]),
+)
+
+
+def reduced_index(m, x):
+    a, b = m.reduce_pair(x.a, x.b)
+    return a * m.d2 + b
+
+
+@given(table_moduli, small, small)
+def test_ring_tables_match_golden_arithmetic(m, x, y):
+    r = ring_tables(m)
+    i, j = r.index(x.a, x.b), r.index(y.a, y.b)
+    assert i == reduced_index(m, x) and j == reduced_index(m, y)
+    assert r.pair(i) == m.reduce_pair(x.a, x.b)
+    assert r.add[i][j] == reduced_index(m, x + y)
+    assert r.mul[i][j] == reduced_index(m, x * y)
+    assert r.neg[i] == reduced_index(m, -x)
+    assert r.lam[i] == reduced_index(m, LAMBDA * x)
+
+
+def test_ring_index_order_is_pair_order():
+    for m in (Modulus.rational(6), Modulus.ideal(GoldenInt(4, 2))):
+        pairs = list(m.residues())
+        assert [ring_tables(m).index(a, b) for a, b in pairs] == list(range(len(pairs)))

@@ -1,9 +1,15 @@
+import hashlib
 import random
+import struct
 
 import pytest
+from hypothesis import given, strategies as st
 
+from hecke5.closure import generated_closure
 from hecke5.golden_ring import GoldenInt, Modulus, RAMIFIED_PRIME
-from hecke5.hecke_matrices import delta_m, eval_word, word
+from hecke5.hecke_matrices import (
+    delta_m, eval_word, eval_word_homogeneous, parse_word, word,
+)
 from hecke5.quotients import (
     QuotientCapError, build_quotient, check_elementary_abelian,
     kernel_subgroup, normal_closure, residue_ambient, sl2_enumeration_order,
@@ -42,6 +48,10 @@ class TestOrders:
     def test_ring_cap(self):
         with pytest.raises(QuotientCapError):
             build_quotient(Modulus.rational(10**9))
+        with pytest.raises(QuotientCapError):
+            build_quotient(Modulus.rational(33))  # ring 1089 > 1024
+        with pytest.raises(QuotientCapError):
+            residue_ambient(Modulus.rational(33))
 
 
 class TestLagrange:
@@ -165,3 +175,65 @@ def test_disk_cache_bad_file_is_rebuilt(tmp_path, garbage):
     assert list(tmp_path.iterdir()) == [path]
     assert path.read_bytes() != garbage
     assert build_quotient(mod, cache_dir=tmp_path).order == 10240
+
+
+# -- Residue-index keys ------------------------------------------------------
+
+KEY_MODULI = [Modulus.rational(n) for n in (2, 3, 4, 6, 8)] + [
+    Modulus.ideal(GoldenInt(2, 1)), Modulus.ideal(GoldenInt(4, 2))]
+
+words = st.lists(
+    st.tuples(st.sampled_from("ST"), st.integers(-4, 4).filter(bool)),
+    max_size=8).map(word)
+
+
+@given(st.sampled_from(KEY_MODULI), st.booleans(), words, words)
+def test_mult_matches_matrix_product(mod, projective, u, v):
+    amb = residue_ambient(mod, projective=projective)
+    g, h = eval_word_homogeneous(u), eval_word_homogeneous(v)
+    assert amb.mult(amb.key_of(g), amb.key_of(h)) == amb.key_of(g * h)
+    assert amb.mult(amb.key_of(g), amb.inv_key(amb.key_of(g))) == amb.identity
+
+
+@pytest.mark.parametrize("mod", [Modulus.rational(6), Modulus.rational(8),
+                                 Modulus.ideal(GoldenInt(4, 2))])
+def test_subgroup_closure_matches_bfs(mod):
+    """Dimino's incremental closure against the plain BFS orbit."""
+    group = build_quotient(mod)
+    rng = random.Random(str(mod))
+    elems = sorted(group.elements)
+    for k in (1, 2, 3):
+        seeds = rng.sample(elems, k)
+        bfs = generated_closure(
+            group.identity, [lambda x, s=s: group.mult(x, s) for s in seeds])
+        assert subgroup_closure(group, seeds).members == bfs
+
+
+@pytest.mark.parametrize("n,seed,expected", [
+    (4, "T^2", 16), (8, "T^2", 1024), (8, "T^4", 32), (6, "T^3", 10),
+    (6, "T^2", 60), (16, "T^4", 2048), (12, "S T^3 S", 320),
+])
+def test_normal_closure_is_normal(n, seed, expected):
+    group = q(n)
+    h = normal_closure(group, [eval_word(parse_word(seed))])
+    assert h.order == expected
+    assert set(h.seeds) <= h.members
+    for g in (group.gen_S, group.gen_T):
+        g_inv = group.inv_key(g)
+        assert all(group.mult(group.mult(g, x), g_inv) in h.members
+                   for x in h.members)
+    assert all(group.mult(x, s) in h.members for x in h.members for s in h.seeds)
+
+
+def test_disk_cache_ignores_v1_files(tmp_path):
+    mod = Modulus.rational(3)
+    tag = f"v1|{mod.kind}|{mod.generator.a},{mod.generator.b}|1"
+    v1 = tmp_path / (hashlib.sha256(tag.encode()).hexdigest()[:20] + ".quot")
+    # well-formed in the current format, but holding only the identity
+    ident = build_quotient(mod).identity
+    stale = (b"HQC2" + struct.pack("<Q", 1)
+             + struct.pack("<12I", *ident, *ident, *ident))
+    v1.write_bytes(stale)
+    assert build_quotient(mod, cache_dir=tmp_path).order == 60
+    assert v1.read_bytes() == stale
+    assert len(list(tmp_path.iterdir())) == 2
