@@ -22,7 +22,7 @@ from .quotients import (
     QuotientCapError, build_quotient, kernel_predicate, normal_closure,
 )
 from .congruence import (
-    UndecidedError, coset_table, enumerate_index, geometric_level_from_table,
+    UndecidedError, enumerate_index, geometric_level_from_table,
     is_congruence, is_normal_table, schreier_generators,
 )
 from .farey import parse_hfs, side_pairing
@@ -196,6 +196,9 @@ def build_parser() -> _Parser:
 
     def common(sp):
         sp.add_argument("--format", choices=("text", "json"), default="text")
+
+    def quotient_options(sp):  # the cache and caps of build_quotient
+        common(sp)
         sp.add_argument("--cache-dir", default=os.environ.get("HECKE5_CACHE_DIR"))
         sp.add_argument("--no-cache", action="store_true")
         sp.add_argument("--element-cap", type=int, default=None)
@@ -206,14 +209,14 @@ def build_parser() -> _Parser:
     sp.add_argument("--ideal", help=IDEAL_HELP)
     sp.add_argument("--homogeneous", action="store_true")
     sp.add_argument("--histogram", action="store_true")
-    common(sp)
+    quotient_options(sp)
     sp.set_defaults(fn=cmd_quotient)
 
     sp = sub.add_parser("closure", help="normal closure of a word in a quotient")
     sp.add_argument("--mod", type=int)
     sp.add_argument("--ideal", help=IDEAL_HELP)
     sp.add_argument("--seed", required=True, help='word, e.g. "T^4"')
-    common(sp)
+    quotient_options(sp)
     sp.set_defaults(fn=cmd_closure)
 
     sp = sub.add_parser("verify", help="run registered structural checks")

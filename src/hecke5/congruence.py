@@ -26,7 +26,7 @@ from .golden_ring import (
     GoldenInt, Modulus, classify_rational_prime, factor, gcd as golden_gcd,
 )
 from .hecke_matrices import Word, eval_word, word
-from .quotients import QuotientGroup, build_quotient, subgroup_closure
+from .quotients import build_quotient, subgroup_closure
 
 
 class UndecidedError(RuntimeError):
@@ -59,7 +59,7 @@ class CosetTable:
                 j = u[j]
             if j != i:
                 raise ValueError("U-action does not have order dividing 5")
-        if _orbit_of(0, (self.perm_s, self.perm_t)) != set(range(n)):
+        if len(_walk(self.perm_s, self.perm_t)) != n:
             raise ValueError("coset action is not transitive")
 
     @property
@@ -71,29 +71,22 @@ class CosetTable:
         # U = S T, acting on the right: first S, then T
         return tuple(self.perm_t[self.perm_s[i]] for i in range(self.degree))
 
-    def apply_word(self, w: Word, point: int = 0) -> int:
-        inv_s = self.perm_s
-        inv_t = tuple(self.perm_t.index(i) for i in range(self.degree))
-        for gen, exp in w.letters:
-            perm = self.perm_s if gen == "S" else self.perm_t
-            if exp < 0:
-                perm = inv_s if gen == "S" else inv_t
-            for _ in range(abs(exp)):
-                point = perm[point]
-        return point
 
+def _walk(perm_s, perm_t, base: int = 0) -> dict[int, tuple[int, str] | None]:
+    """Breadth-first walk from `base`, S before T.
 
-def _orbit_of(start: int, perms) -> set[int]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        i = frontier.pop()
-        for p in perms:
-            j = p[i]
-            if j not in seen:
-                seen.add(j)
-                frontier.append(j)
-    return seen
+    Maps each reached point, in order of first appearance, to the edge
+    (point, "S" or "T") that first reached it; `base` maps to None.
+    """
+    edge: dict[int, tuple[int, str] | None] = {base: None}
+    order = [base]
+    for i in order:  # grows while it is walked
+        for name, perm in (("S", perm_s), ("T", perm_t)):
+            j = perm[i]
+            if j not in edge:
+                edge[j] = (i, name)
+                order.append(j)
+    return edge
 
 
 def _to_presentation_word(w: Word):
@@ -153,22 +146,14 @@ def wohlfahrt_modulus(m: int) -> int:
 
 def schreier_generators(t: CosetTable) -> list[Word]:
     """Generators of the point-0 stabilizer from a spanning tree of the action."""
-    n = t.degree
     gens = [("S", t.perm_s), ("T", t.perm_t)]
-    reps: list[Word | None] = [None] * n
-    reps[0] = word([])
-    frontier = [0]
-    tree: set[tuple[int, str]] = set()
-    while frontier:
-        i = frontier.pop(0)
-        for name, perm in gens:
-            j = perm[i]
-            if reps[j] is None:
-                reps[j] = reps[i] * word([(name, 1)])
-                tree.add((i, name))
-                frontier.append(j)
+    edge = _walk(t.perm_s, t.perm_t)
+    reps: dict[int, Word] = {}
+    for j, e in edge.items():  # a tree edge's source comes first
+        reps[j] = word([]) if e is None else reps[e[0]] * word([(e[1], 1)])
+    tree = set(edge.values())
     out = []
-    for i in range(n):
+    for i in range(t.degree):
         for name, perm in gens:
             if (i, name) in tree:
                 continue
@@ -266,20 +251,10 @@ def algebraic_level(generators: list[Word], index: int, big: int) -> Modulus:
 
 def _canonical(perm_s, perm_t, base: int = 0):
     """Relabel points by first appearance in a BFS from `base` (S before T)."""
-    n = len(perm_s)
-    order = [base]
-    pos = {base: 0}
-    i = 0
-    while i < len(order):
-        for perm in (perm_s, perm_t):
-            j = perm[order[i]]
-            if j not in pos:
-                pos[j] = len(order)
-                order.append(j)
-        i += 1
-    new_s = tuple(pos[perm_s[order[k]]] for k in range(n))
-    new_t = tuple(pos[perm_t[order[k]]] for k in range(n))
-    return new_s, new_t
+    order = list(_walk(perm_s, perm_t, base))
+    pos = {p: k for k, p in enumerate(order)}
+    return (tuple(pos[perm_s[p]] for p in order),
+            tuple(pos[perm_t[p]] for p in order))
 
 
 def enumerate_index(n: int) -> list[CosetTable]:

@@ -180,7 +180,7 @@ def _pair_free(u1: Cusp, v1: Cusp, u2: Cusp, v2: Cusp) -> GMat:
                 (b * w11 + d * w21) * inv, (b * w12 + d * w22) * inv)
 
 
-def side_pairing(hfs: HeckeFareySymbol, validate: bool = True) -> list[ProjMat]:
+def side_pairing(hfs: HeckeFareySymbol) -> list[ProjMat]:
     """One generator per even label, odd label, and free pair, in symbol order."""
     gens: list[ProjMat] = []
     free_first: dict[int, tuple[Cusp, Cusp]] = {}
@@ -194,9 +194,8 @@ def side_pairing(hfs: HeckeFareySymbol, validate: bool = True) -> list[ProjMat]:
             gens.append(ProjMat.of(_pair_free(u1, v1, u, v)))
         else:
             free_first[lab] = (u, v)
-    if validate:
-        for g in gens:
-            decompose(g)  # raises NotInG5Error for an invalid symbol
+    for g in gens:
+        decompose(g)  # raises NotInG5Error for an invalid symbol
     return gens
 
 
@@ -260,25 +259,3 @@ def cusp_widths(hfs: HeckeFareySymbol) -> list[tuple[Cusp, int]]:
 def geometric_level(hfs: HeckeFareySymbol) -> int:
     return lcm(*(w for _, w in cusp_widths(hfs)))
 
-
-@dataclass(frozen=True)
-class SubgroupProfile:
-    generators: tuple[ProjMat, ...]
-    index: int
-    v2: int
-    v5: int
-    cusp_widths: tuple[int, ...]
-    geometric_level: int
-
-
-def profile(hfs: HeckeFareySymbol, index: int) -> SubgroupProfile:
-    """Assemble the invariants; the index comes from coset enumeration."""
-    widths = tuple(w for _, w in cusp_widths(hfs))
-    return SubgroupProfile(
-        generators=tuple(side_pairing(hfs)),
-        index=index,
-        v2=sum(1 for lab in hfs.labels if lab == EVEN),
-        v5=sum(1 for lab in hfs.labels if lab == ODD),
-        cusp_widths=widths,
-        geometric_level=lcm(*widths),
-    )

@@ -8,7 +8,7 @@ including the real-embedding comparisons needed by the matrix reduction code.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd as int_gcd, isqrt
 
@@ -65,17 +65,6 @@ class GoldenInt:
             raise ValueError(f"{self} is not a unit")
         c = self.conj()
         return c if n == 1 else -c
-
-    def divide_exact(self, d: "GoldenInt | int") -> "GoldenInt":
-        """Exact quotient self / d, raising ValueError if d does not divide."""
-        d = _coerce(d)
-        n = d.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Z[L]")
-        z = self * d.conj()
-        if z.a % n or z.b % n:
-            raise ValueError(f"{d} does not divide {self}")
-        return GoldenInt(z.a // n, z.b // n)
 
     def divisible_by(self, d: "GoldenInt | int") -> bool:
         d = _coerce(d)
@@ -197,7 +186,7 @@ def emb_ratio_round(x: GoldenInt, y: GoldenInt) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Moduli and residue classes.
+# Moduli; residue arithmetic is `RingTables`.
 
 
 @dataclass(frozen=True)
@@ -206,10 +195,10 @@ class Modulus:
 
     The reduction lattice is {x*g : x in Z[L]} in (a, b) coordinates, with
     basis vectors (d1, 0) and (c, d2), 0 <= c < d1.  Rational(n) and
-    Ideal(n) produce identical residue rings.
+    Ideal(n) are equal: `kind` only decides how `str()` prints them.
     """
 
-    kind: str  # "rational" | "ideal"
+    kind: str = field(compare=False)  # "rational" | "ideal"
     generator: GoldenInt
     d1: int
     c: int
@@ -236,10 +225,6 @@ class Modulus:
         d1, c, d2 = self.d1, self.c, self.d2
         j, b = divmod(b, d2)
         return (a - j * c) % d1, b
-
-    def reduce(self, x: GoldenInt) -> "ResidueClass":
-        a, b = self.reduce_pair(x.a, x.b)
-        return ResidueClass(self, a, b)
 
     def contains(self, x: GoldenInt) -> bool:
         return self.reduce_pair(x.a, x.b) == (0, 0)
@@ -284,29 +269,6 @@ def _xgcd(x: int, y: int) -> tuple[int, int, int]:
     if x < 0:
         x, s0, t0 = -x, -s0, -t0
     return x, s0, t0
-
-
-@dataclass(frozen=True)
-class ResidueClass:
-    modulus: Modulus
-    a: int
-    b: int
-
-    def lift(self) -> GoldenInt:
-        return GoldenInt(self.a, self.b)
-
-    def _wrap(self, x: GoldenInt) -> "ResidueClass":
-        a, b = self.modulus.reduce_pair(x.a, x.b)
-        return ResidueClass(self.modulus, a, b)
-
-    def __add__(self, other: "ResidueClass") -> "ResidueClass":
-        return self._wrap(self.lift() + other.lift())
-
-    def __mul__(self, other: "ResidueClass") -> "ResidueClass":
-        return self._wrap(self.lift() * other.lift())
-
-    def __str__(self) -> str:
-        return f"{self.lift()} mod {self.modulus}"
 
 
 @dataclass(frozen=True, eq=False)

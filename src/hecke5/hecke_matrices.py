@@ -118,8 +118,6 @@ class ProjMat:
 
 
 PROJ_IDENTITY = ProjMat.of(IDENTITY)
-PROJ_S = ProjMat.of(S_MAT)
-PROJ_T = ProjMat.of(T_MAT)
 
 
 # ---------------------------------------------------------------------------

@@ -149,39 +149,41 @@ def _ambient(modulus: Modulus, projective: bool, ring_cap: int) -> QuotientGroup
     return replace(stub, gen_S=stub.key_of(S_MAT), gen_T=stub.key_of(T_MAT))
 
 
+def build_quotient(modulus: Modulus, projective: bool = True,
+                   ring_cap: int = DEFAULT_RING_CAP,
+                   element_cap: int = DEFAULT_ELEMENT_CAP,
+                   cache_dir: str | Path | None = None) -> QuotientGroup:
+    """BFS closure of {S, T} mod `modulus`, memoised per process.
+
+    With `cache_dir` set, completed quotients are stored on disk keyed by a
+    content hash and reloaded transparently; the memo answers repeated calls
+    without reading the file again.  A cache file that does not load (bad
+    magic, truncated) counts as a miss and is rewritten.
+    """
+    return _quotient(modulus, projective, ring_cap, element_cap,
+                     None if cache_dir is None else Path(cache_dir))
+
+
 @lru_cache(maxsize=64)
-def _build_quotient(modulus: Modulus, projective: bool,
-                    ring_cap: int, element_cap: int) -> QuotientGroup:
+def _quotient(modulus: Modulus, projective: bool, ring_cap: int,
+              element_cap: int, cache_dir: Path | None) -> QuotientGroup:
+    path = None
+    if cache_dir is not None:
+        path = cache_dir / _cache_name(modulus, projective)
+        try:
+            return _load_quotient(path, modulus, projective)
+        except (FileNotFoundError, ValueError, struct.error):
+            pass  # no file, or one that does not load: a miss
     q = _ambient(modulus, projective, ring_cap)
     try:
         elements = generated_closure(
             q.identity, _generator_actions(modulus, projective), element_cap)
     except ClosureCapExceeded as exc:
         raise QuotientCapError(exc.partial_count) from exc
-    return replace(q, elements=frozenset(elements))
-
-
-def build_quotient(modulus: Modulus, projective: bool = True,
-                   ring_cap: int = DEFAULT_RING_CAP,
-                   element_cap: int = DEFAULT_ELEMENT_CAP,
-                   cache_dir: str | Path | None = None) -> QuotientGroup:
-    """BFS closure of {S, T} mod `modulus`.
-
-    With `cache_dir` set, completed quotients are stored on disk keyed by a
-    content hash and reloaded transparently.  A cache file that does not
-    load (bad magic, truncated) counts as a miss and is rewritten.
-    """
-    if cache_dir is None:
-        return _build_quotient(modulus, projective, ring_cap, element_cap)
-    path = Path(cache_dir) / _cache_name(modulus, projective)
-    if path.exists():
-        try:
-            return _load_quotient(path, modulus, projective)
-        except (ValueError, struct.error):
-            pass
-    q = _build_quotient(modulus, projective, ring_cap, element_cap)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _save_quotient(q, path)
+    q = replace(q, elements=frozenset(elements))
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        _save_quotient(q, path)
     return q
 
 
@@ -291,9 +293,6 @@ def check_elementary_abelian(h: SubgroupHandle, p: int) -> bool:
         return False
     q = h.parent
     gens = h.seeds if h.seeds else tuple(h.members)
-    if not h.seeds and len(gens) > 64:
-        # large seedless subgroup: find a small generating set first
-        gens = _generating_subset(q, h.members)
     for g in gens:
         if element_order(g, q.identity, q.mult) not in (1, p):
             return False
@@ -302,18 +301,6 @@ def check_elementary_abelian(h: SubgroupHandle, p: int) -> bool:
             if q.mult(g, k) != q.mult(k, g):
                 return False
     return True
-
-
-def _generating_subset(q: QuotientGroup, members: frozenset[Key]) -> tuple[Key, ...]:
-    gens: list[Key] = []
-    have = {q.identity}
-    for x in sorted(members):
-        if x not in have:
-            gens.append(x)
-            have = subgroup(q.identity, gens, q.mult)
-            if len(have) == len(members):
-                break
-    return tuple(gens)
 
 
 # ---------------------------------------------------------------------------

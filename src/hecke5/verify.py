@@ -9,6 +9,7 @@ instance; `run_all` sweeps every default grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq, ge
 from typing import Callable
 
 from .golden_ring import GoldenInt, Modulus, factor, parse_golden
@@ -89,69 +90,57 @@ def check_kernel_ladder(pi: str) -> CheckResult:
     return _result("kernel-ladder", {"pi": pi}, k.order == expected, detail)
 
 
+def _closure_vs_kernel(check_id: str, params: dict, modulus: int, power: int,
+                       level: int, relation) -> CheckResult:
+    """Compare N(G(modulus), T^power) with G(level) inside Q(modulus):
+    `relation` takes the two member sets, closure first."""
+    q = build_quotient(Modulus.rational(modulus), projective=True)
+    h = normal_closure(q, [eval_word(word([("T", power)]))])
+    k = kernel_subgroup(q, Modulus.rational(level))
+    return _result(check_id, params, relation(h.members, k.members),
+                   f"closure {h.order}, kernel {k.order}")
+
+
 def check_closure_coprime(a: int, b: int) -> CheckResult:
     """N(G(ab), T^b) = G(b) for coprime a, b."""
-    q = build_quotient(Modulus.rational(a * b), projective=True)
-    h = normal_closure(q, [eval_word(word([("T", b)]))])
-    k = kernel_subgroup(q, Modulus.rational(b))
-    return _result("closure-coprime", {"a": a, "b": b}, h.members == k.members,
-                   f"closure {h.order}, kernel {k.order}")
+    return _closure_vs_kernel("closure-coprime", {"a": a, "b": b}, a * b, b, b, eq)
 
 
 def check_closure_odd(m: int, n: int) -> CheckResult:
     """N(G(mn), T^m) = G(m) for odd n."""
     if n % 2 == 0:
         raise ValueError("n must be odd")
-    q = build_quotient(Modulus.rational(m * n), projective=True)
-    h = normal_closure(q, [eval_word(word([("T", m)]))])
-    k = kernel_subgroup(q, Modulus.rational(m))
-    return _result("closure-odd", {"m": m, "n": n}, h.members == k.members,
-                   f"closure {h.order}, kernel {k.order}")
+    return _closure_vs_kernel("closure-odd", {"m": m, "n": n}, m * n, m, m, eq)
 
 
 def check_closure_4m(m: int) -> CheckResult:
     """N(G(4m), T^2m) = G(2m) for odd m."""
     if m % 2 == 0:
         raise ValueError("m must be odd")
-    q = build_quotient(Modulus.rational(4 * m), projective=True)
-    h = normal_closure(q, [eval_word(word([("T", 2 * m)]))])
-    k = kernel_subgroup(q, Modulus.rational(2 * m))
-    return _result("closure-4m", {"m": m}, h.members == k.members,
-                   f"closure {h.order}, kernel {k.order}")
+    return _closure_vs_kernel("closure-4m", {"m": m}, 4 * m, 2 * m, 2 * m, eq)
 
 
 def check_closure_8m(m: int) -> CheckResult:
     """N(G(8m), T^2m) = G(2m) for odd m."""
     if m % 2 == 0:
         raise ValueError("m must be odd")
-    q = build_quotient(Modulus.rational(8 * m), projective=True)
-    h = normal_closure(q, [eval_word(word([("T", 2 * m)]))])
-    k = kernel_subgroup(q, Modulus.rational(2 * m))
-    return _result("closure-8m", {"m": m}, h.members == k.members,
-                   f"closure {h.order}, kernel {k.order}")
+    return _closure_vs_kernel("closure-8m", {"m": m}, 8 * m, 2 * m, 2 * m, eq)
 
 
 def check_closure_contains(m: int) -> CheckResult:
     """G(2m) <= N(G(4m), T^m) for m a multiple of 4."""
     if m % 4:
         raise ValueError("m must be a multiple of 4")
-    q = build_quotient(Modulus.rational(4 * m), projective=True)
-    h = normal_closure(q, [eval_word(word([("T", m)]))])
-    k = kernel_subgroup(q, Modulus.rational(2 * m))
-    return _result("closure-contains", {"m": m}, k.members <= h.members,
-                   f"closure {h.order}, kernel {k.order}")
+    return _closure_vs_kernel("closure-contains", {"m": m}, 4 * m, m, 2 * m, ge)
 
 
 def check_closure_strict(m: int) -> CheckResult:
     """[N(G(4m), T^2m) : G(4m)] = 2^5 (< 2^6) for even m."""
     if m % 2:
         raise ValueError("m must be even")
-    q = build_quotient(Modulus.rational(4 * m), projective=True)
-    h = normal_closure(q, [eval_word(word([("T", 2 * m)]))])
-    k = kernel_subgroup(q, Modulus.rational(2 * m))
-    ok = h.order == 32 and k.order == 64 and h.members < k.members
-    return _result("closure-strict", {"m": m}, ok,
-                   f"closure {h.order}, kernel {k.order}")
+    return _closure_vs_kernel(
+        "closure-strict", {"m": m}, 4 * m, 2 * m, 2 * m,
+        lambda h, k: len(h) == 32 and len(k) == 64 and h < k)
 
 
 def check_translation_collapse(m: int) -> CheckResult:

@@ -126,17 +126,25 @@ class TestClosure:
 class TestVerify:
     def test_single_check(self, capsys):
         code, out, _ = invoke(capsys, "verify", "--lemma", "D1",
-                              "--p", "3", "--no-cache")
+                              "--p", "3")
         assert code == 0
         assert "pass" in out
 
     def test_unknown_id_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            invoke(capsys, "verify", "--lemma", "nope", "--no-cache")
+            invoke(capsys, "verify", "--lemma", "nope")
         assert exc.value.code == 1
 
+    def test_quotient_options_rejected(self, capsys):
+        # verify builds its quotients with the default caps and no disk cache
+        with pytest.raises(SystemExit) as exc:
+            invoke(capsys, "verify", "--lemma", "2.2", "--m", "7", "--p", "7",
+                   "--ring-cap", "5000")
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --ring-cap" in capsys.readouterr().err
+
     def test_needs_a_selector(self, capsys):
-        code, _, err = invoke(capsys, "verify", "--no-cache")
+        code, _, err = invoke(capsys, "verify")
         assert code == 1
         assert "--lemma" in err
 
@@ -144,14 +152,14 @@ class TestVerify:
 class TestCongruence:
     def test_whole_group_from_generators(self, capsys):
         code, out, _ = invoke(capsys, "congruence", "--gens", "S",
-                              "--gens", "T", "--no-cache")
+                              "--gens", "T")
         assert code == 0
         assert "index 1" in out
         assert "verdict: congruence, algebraic level (1)" in out
 
     def test_symbol_input(self, capsys):
         code, out, _ = invoke(capsys, "congruence",
-                              "--hfs", EXAMPLES["index2"][0], "--no-cache")
+                              "--hfs", EXAMPLES["index2"][0])
         assert code == 0
         assert "index 2" in out
         assert "verdict: congruence" in out
@@ -159,14 +167,13 @@ class TestCongruence:
     def test_symbol_file(self, capsys, tmp_path):
         path = tmp_path / "sub.hfs"
         path.write_text(EXAMPLES["i5-level4"][0])
-        code, out, _ = invoke(capsys, "congruence", "--hfs-file", str(path),
-                              "--no-cache")
+        code, out, _ = invoke(capsys, "congruence", "--hfs-file", str(path))
         assert code == 0
         assert "verdict: not-congruence" in out
 
     def test_json_roundtrips_report(self, capsys):
         code, out, _ = invoke(capsys, "congruence", "--hfs", EXAMPLES["i5-level3"][0],
-                              "--format", "json", "--no-cache")
+                              "--format", "json")
         assert code == 0
         rec = json.loads(out.strip().splitlines()[1])
         report = CongruenceReport.from_json(json.dumps(rec))
@@ -174,29 +181,29 @@ class TestCongruence:
         assert report.algebraic_level == "(3)"
 
     def test_exactly_one_source(self, capsys):
-        code, _, err = invoke(capsys, "congruence", "--no-cache")
+        code, _, err = invoke(capsys, "congruence")
         assert code == 1
         assert "exactly one" in err
 
         code, _, err = invoke(capsys, "congruence", "--gens", "S",
-                              "--hfs", "[-inf; *; 0; o; inf]", "--no-cache")
+                              "--hfs", "[-inf; *; 0; o; inf]")
         assert code == 1
 
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "congruence",
-                              "--hfs-file", "/no/such/file", "--no-cache")
+                              "--hfs-file", "/no/such/file")
         assert code == 1
 
 
 class TestCensus:
     def test_index_two(self, capsys):
-        code, out, _ = invoke(capsys, "census", "--index", "2", "--no-cache")
+        code, out, _ = invoke(capsys, "census", "--index", "2")
         assert code == 0
         assert "total: 1 subgroups of index 2" in out
 
     def test_index_five_rows(self, capsys):
         code, out, _ = invoke(capsys, "census", "--index", "5",
-                              "--format", "json", "--no-cache")
+                              "--format", "json")
         assert code == 0
         rows = [json.loads(line) for line in out.strip().splitlines()[1:]]
         assert len(rows) == 26
@@ -209,7 +216,7 @@ class TestCensus:
     def test_index_five_text_unchanged(self, capsys):
         # recorded before rows were streamed; the row order is sympy's
         # low-index order, so another sympy version may need a new record
-        code, out, _ = invoke(capsys, "census", "--index", "5", "--no-cache")
+        code, out, _ = invoke(capsys, "census", "--index", "5")
         assert code == 0
         assert out == (Path(__file__).parent / "data" / "census_index5.txt").read_text()
 
@@ -230,7 +237,7 @@ class TestCensus:
         real = cli.is_congruence
         monkeypatch.setattr(cli, "is_congruence", is_congruence)
         with pytest.raises(Stop):
-            main(["census", "--index", "5", "--format", "json", "--no-cache"])
+            main(["census", "--index", "5", "--format", "json"])
 
 
 def test_version_flag(capsys):

@@ -2,7 +2,7 @@ import pytest
 
 from hecke5.congruence import coset_table, geometric_level_from_table
 from hecke5.farey import (
-    Cusp, HeckeFareySymbol, cusp_widths, geometric_level, parse_hfs, profile,
+    Cusp, HeckeFareySymbol, cusp_widths, geometric_level, parse_hfs,
     side_pairing,
 )
 from hecke5.golden_ring import GoldenInt, LAMBDA, ZERO
@@ -137,18 +137,6 @@ class TestWidthsAndLevels:
     def test_width_sum_is_index(self):
         for text, _, index in EXAMPLES.values():
             assert sum(w for _, w in cusp_widths(parse_hfs(text))) == index
-
-
-def test_profile():
-    hfs = parse_hfs(EXAMPLES["i5-level2"][0])
-    p = profile(hfs, index=5)
-    assert p.index == 5
-    assert p.v2 == 1 and p.v5 == 0
-    assert sorted(p.cusp_widths) == [1, 2, 2]
-    assert p.geometric_level == 2
-    # one involution plus one generator per free pair (rank matches the
-    # Euler characteristic of an index-5 subgroup with v2 = 1)
-    assert len(p.generators) == 3
 
 
 def test_whole_group_symbol():

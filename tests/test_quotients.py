@@ -11,7 +11,7 @@ from hecke5.hecke_matrices import (
     delta_m, eval_word, eval_word_homogeneous, parse_word, word,
 )
 from hecke5.quotients import (
-    QuotientCapError, build_quotient, check_elementary_abelian,
+    QuotientCapError, _cache_name, build_quotient, check_elementary_abelian,
     kernel_subgroup, normal_closure, residue_ambient, sl2_enumeration_order,
     sl_index_formula, subgroup_closure,
 )
@@ -165,11 +165,28 @@ def test_disk_cache_roundtrip(tmp_path):
     assert len(list(tmp_path.iterdir())) == 1
 
 
+def test_disk_cache_read_once(tmp_path):
+    mod = Modulus.rational(4)
+    first = build_quotient(mod, cache_dir=tmp_path)
+    (path,) = tmp_path.iterdir()
+    path.unlink()
+    # the memo answers: no file is read or written
+    assert build_quotient(mod, cache_dir=str(tmp_path)) is first
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rational_and_ideal_share_one_quotient():
+    ideal, rational = Modulus.ideal(GoldenInt(8, 0)), Modulus.rational(8)
+    assert ideal == rational
+    assert build_quotient(ideal) is build_quotient(rational)
+    assert (str(ideal), str(rational)) == ("(8)", "8")
+
+
 @pytest.mark.parametrize("garbage", [b"not a quotient cache file", b"HQC1\x05"])
 def test_disk_cache_bad_file_is_rebuilt(tmp_path, garbage):
     mod = Modulus.rational(8)
-    build_quotient(mod, cache_dir=tmp_path)
-    (path,) = tmp_path.iterdir()
+    # written before the first call: the memo answers every later one
+    path = tmp_path / _cache_name(mod, True)
     path.write_bytes(garbage)
     assert build_quotient(mod, cache_dir=tmp_path).order == 10240
     assert list(tmp_path.iterdir()) == [path]
