@@ -17,7 +17,6 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 from typing import Callable
@@ -155,21 +154,31 @@ def build_quotient(modulus: Modulus, projective: bool = True,
                    cache_dir: str | Path | None = None) -> QuotientGroup:
     """BFS closure of {S, T} mod `modulus`, memoised per process.
 
-    With `cache_dir` set, completed quotients are stored on disk keyed by a
-    content hash and reloaded transparently; the memo answers repeated calls
-    without reading the file again.  A cache file that does not load (bad
-    magic, truncated) counts as a miss and is rewritten.
+    The memo is keyed by modulus, projectivity and both caps; `cache_dir`
+    only matters on a miss.  Then the quotient is read from the disk cache
+    if its file loads, else built and (with `cache_dir` set) written there.
+    A file that does not load (bad magic, truncated) counts as missing and
+    is rewritten.  A memo hit touches no file.
     """
-    return _quotient(modulus, projective, ring_cap, element_cap,
-                     None if cache_dir is None else Path(cache_dir))
+    key = (modulus, projective, ring_cap, element_cap)
+    q = _memo.pop(key, None)
+    if q is None:
+        path = (None if cache_dir is None
+                else Path(cache_dir) / _cache_name(modulus, projective))
+        q = _load_or_build(modulus, projective, ring_cap, element_cap, path)
+    _memo[key] = q  # re-inserted last: the dict's order is least recent first
+    if len(_memo) > _MEMO_SIZE:
+        del _memo[next(iter(_memo))]
+    return q
 
 
-@lru_cache(maxsize=64)
-def _quotient(modulus: Modulus, projective: bool, ring_cap: int,
-              element_cap: int, cache_dir: Path | None) -> QuotientGroup:
-    path = None
-    if cache_dir is not None:
-        path = cache_dir / _cache_name(modulus, projective)
+_MEMO_SIZE = 64
+_memo: dict[tuple, QuotientGroup] = {}
+
+
+def _load_or_build(modulus: Modulus, projective: bool, ring_cap: int,
+                   element_cap: int, path: Path | None) -> QuotientGroup:
+    if path is not None:
         try:
             return _load_quotient(path, modulus, projective)
         except (FileNotFoundError, ValueError, struct.error):
@@ -200,8 +209,8 @@ _CACHE_MAGIC = b"HQC2"
 
 
 def _cache_name(modulus: Modulus, projective: bool) -> str:
-    tag = (f"v2|{modulus.kind}|{modulus.generator.a},{modulus.generator.b}"
-           f"|{int(projective)}")
+    # no `kind`: equal moduli share one file, as they share one memo entry
+    tag = f"v2|{modulus.generator.a},{modulus.generator.b}|{int(projective)}"
     return hashlib.sha256(tag.encode()).hexdigest()[:20] + ".quot"
 
 

@@ -10,8 +10,9 @@ from hecke5.golden_ring import GoldenInt, Modulus, RAMIFIED_PRIME
 from hecke5.hecke_matrices import (
     delta_m, eval_word, eval_word_homogeneous, parse_word, word,
 )
+from hecke5 import quotients
 from hecke5.quotients import (
-    QuotientCapError, _cache_name, build_quotient, check_elementary_abelian,
+    QuotientCapError, _cache_name, _load_quotient, build_quotient, check_elementary_abelian,
     kernel_subgroup, normal_closure, residue_ambient, sl2_enumeration_order,
     sl_index_formula, subgroup_closure,
 )
@@ -156,16 +157,27 @@ def test_lazy_ambient_closure():
         amb.order
 
 
-def test_disk_cache_roundtrip(tmp_path):
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """An empty quotient memo, so that the disk cache is consulted."""
+    monkeypatch.setattr(quotients, "_memo", {})
+
+
+def test_disk_cache_roundtrip(tmp_path, empty_memo):
     mod = Modulus.rational(3)
-    first = build_quotient(mod, cache_dir=tmp_path)
+    built = build_quotient(mod, cache_dir=tmp_path)
+    (path,) = tmp_path.iterdir()
+    assert path.name == _cache_name(mod, True)
+    loaded = _load_quotient(path, mod, True)
+    assert loaded.elements == built.elements
+    assert loaded.gen_S == built.gen_S and loaded.gen_T == built.gen_T
+    # a new memo reads the file instead of building
+    quotients._memo.clear()
     again = build_quotient(mod, cache_dir=tmp_path)
-    assert first.elements == again.elements
-    assert first.gen_S == again.gen_S and first.gen_T == again.gen_T
-    assert len(list(tmp_path.iterdir())) == 1
+    assert again is not built and again.elements == built.elements
 
 
-def test_disk_cache_read_once(tmp_path):
+def test_disk_cache_read_once(tmp_path, empty_memo):
     mod = Modulus.rational(4)
     first = build_quotient(mod, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
@@ -175,15 +187,22 @@ def test_disk_cache_read_once(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_rational_and_ideal_share_one_quotient():
+def test_rational_and_ideal_share_one_quotient(tmp_path, empty_memo):
     ideal, rational = Modulus.ideal(GoldenInt(8, 0)), Modulus.rational(8)
     assert ideal == rational
     assert build_quotient(ideal) is build_quotient(rational)
     assert (str(ideal), str(rational)) == ("(8)", "8")
+    # and one cache file
+    assert _cache_name(ideal, True) == _cache_name(rational, True)
+    quotients._memo.clear()
+    build_quotient(rational, cache_dir=tmp_path)
+    quotients._memo.clear()
+    build_quotient(ideal, cache_dir=tmp_path)
+    assert len(list(tmp_path.iterdir())) == 1
 
 
 @pytest.mark.parametrize("garbage", [b"not a quotient cache file", b"HQC1\x05"])
-def test_disk_cache_bad_file_is_rebuilt(tmp_path, garbage):
+def test_disk_cache_bad_file_is_rebuilt(tmp_path, empty_memo, garbage):
     mod = Modulus.rational(8)
     # written before the first call: the memo answers every later one
     path = tmp_path / _cache_name(mod, True)
@@ -191,6 +210,7 @@ def test_disk_cache_bad_file_is_rebuilt(tmp_path, garbage):
     assert build_quotient(mod, cache_dir=tmp_path).order == 10240
     assert list(tmp_path.iterdir()) == [path]
     assert path.read_bytes() != garbage
+    assert _load_quotient(path, mod, True).order == 10240
     assert build_quotient(mod, cache_dir=tmp_path).order == 10240
 
 
@@ -242,12 +262,12 @@ def test_normal_closure_is_normal(n, seed, expected):
     assert all(group.mult(x, s) in h.members for x in h.members for s in h.seeds)
 
 
-def test_disk_cache_ignores_v1_files(tmp_path):
+def test_disk_cache_ignores_v1_files(tmp_path, empty_memo):
     mod = Modulus.rational(3)
     tag = f"v1|{mod.kind}|{mod.generator.a},{mod.generator.b}|1"
     v1 = tmp_path / (hashlib.sha256(tag.encode()).hexdigest()[:20] + ".quot")
     # well-formed in the current format, but holding only the identity
-    ident = build_quotient(mod).identity
+    ident = residue_ambient(mod).identity
     stale = (b"HQC2" + struct.pack("<Q", 1)
              + struct.pack("<12I", *ident, *ident, *ident))
     v1.write_bytes(stale)
