@@ -22,8 +22,8 @@ from .quotients import (
     QuotientCapError, build_quotient, kernel_predicate, normal_closure,
 )
 from .congruence import (
-    UndecidedError, enumerate_index, geometric_level_from_table,
-    is_congruence, is_normal_table, schreier_generators,
+    UndecidedError, enumerate_index, is_congruence, is_normal_table,
+    schreier_generators,
 )
 from .farey import parse_hfs, side_pairing
 from .verify import REGISTRY, run_all, run_check
@@ -169,17 +169,17 @@ def cmd_census(args) -> int:
 
     def rows():  # each row is printed as soon as it is decided
         for i, t in enumerate(tables):
-            level = geometric_level_from_table(t)
             normal = is_normal_table(t)
             report = is_congruence(schreier_generators(t), table=t)
             note = "unasserted" if normal and args.index == 5 else ""
             rec = {"record": "census-row", "id": i, "index": t.degree,
                    "v2": sum(1 for j in range(t.degree) if t.perm_s[j] == j),
-                   "geometric_level": level, "normal": normal,
+                   "geometric_level": report.geometric_level, "normal": normal,
                    "verdict": report.verdict,
                    "algebraic_level": report.algebraic_level, "note": note}
             yield rec, (
-                f"#{i}: index {t.degree}, v2 {rec['v2']}, level {level}, "
+                f"#{i}: index {t.degree}, v2 {rec['v2']}, "
+                f"level {report.geometric_level}, "
                 f"{'normal, ' if normal else ''}{report.verdict}"
                 + (f" ({report.algebraic_level})" if report.algebraic_level else "")
                 + (f" [{note}]" if note else ""))

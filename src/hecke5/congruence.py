@@ -5,8 +5,9 @@ Coset enumeration over the presentation <s, u | s^2 = u^5 = 1> (with
 T = S*U) gives the index and the T-action on cosets, hence the geometric
 level m.  The Wohlfahrt criterion reduces congruence to a finite check:
 K is congruence iff G(M) <= K for M = m (m not divisible by 4) or 2m,
-which holds iff [G5 : K] equals the index of the image of K in the
-finite quotient G5/G(M).
+which holds iff [G5 : K] equals the index of K's image I in Q(M) = G5/G(M).
+For an ideal (d) dividing (M), G(d) <= K iff I holds the whole kernel of
+Q(M) -> Q(d); the algebraic level is the gcd of those (d).
 """
 
 from __future__ import annotations
@@ -24,9 +25,12 @@ from sympy.combinatorics.free_groups import free_group
 from . import __version__
 from .golden_ring import (
     GoldenInt, Modulus, classify_rational_prime, factor, gcd as golden_gcd,
+    rational_integer_below,
 )
 from .hecke_matrices import Word, eval_word, word
-from .quotients import build_quotient, subgroup_closure
+from .quotients import (
+    SubgroupHandle, build_quotient, kernel_predicate, subgroup_closure,
+)
 
 
 class UndecidedError(RuntimeError):
@@ -190,17 +194,6 @@ class CongruenceReport:
                                    for f in fields(CongruenceReport)})
 
 
-def _image_order(generators: list[Word], modulus: Modulus) -> tuple[int, int]:
-    q = build_quotient(modulus, projective=True)
-    keys = [q.key_of(eval_word(w)) for w in generators]
-    return q.order, subgroup_closure(q, keys).order
-
-
-def _contains_kernel(generators: list[Word], index: int, modulus: Modulus) -> bool:
-    qo, io = _image_order(generators, modulus)
-    return qo == io * index
-
-
 def is_congruence(generators: list[Word],
                   table: CosetTable | None = None) -> CongruenceReport:
     if table is None:
@@ -208,9 +201,11 @@ def is_congruence(generators: list[Word],
     index = table.degree
     m = geometric_level_from_table(table)
     big = wohlfahrt_modulus(m)
-    qo, io = _image_order(generators, Modulus.rational(big))
+    q = build_quotient(Modulus.rational(big))
+    image = subgroup_closure(q, [eval_word(w) for w in generators])
+    qo, io = q.order, image.order
     if qo == io * index:
-        level = algebraic_level(generators, index, big)
+        level = algebraic_level(image, index)
         return CongruenceReport(index, m, big, qo, io, "congruence", str(level))
     return CongruenceReport(index, m, big, qo, io, "not-congruence")
 
@@ -229,20 +224,18 @@ def _ideal_divisors(n: int) -> list[GoldenInt]:
     return divisors
 
 
-def algebraic_level(generators: list[Word], index: int, big: int) -> Modulus:
-    """Smallest ideal (d) dividing (big) with G(d) contained in the subgroup."""
+def algebraic_level(image: SubgroupHandle, index: int) -> Modulus:
+    """Smallest (d) dividing (M) with G(d) <= K, from K's image in Q(M), M rational."""
+    q = image.parent
+    if q.order != image.order * index:
+        raise ValueError("subgroup is not congruence at this modulus")
     passing = []
-    for d in _ideal_divisors(big):
-        if abs(d.norm()) == 1:
-            if index == 1:
-                passing.append(d)
-            continue
-        if _contains_kernel(generators, index, Modulus.ideal(d)):
+    for d in _ideal_divisors(rational_integer_below(q.modulus)):
+        in_kernel = kernel_predicate(q, Modulus.ideal(d))
+        count = sum(1 for x in image.members if in_kernel(x))
+        if count * build_quotient(Modulus.ideal(d)).order == q.order:
             passing.append(d)
-    if not passing:
-        raise ValueError("no passing divisor; subgroup is not congruence at this modulus")
-    level = reduce(golden_gcd, passing)
-    return Modulus.ideal(level)
+    return Modulus.ideal(reduce(golden_gcd, passing))
 
 
 # ---------------------------------------------------------------------------

@@ -218,12 +218,16 @@ def _save_quotient(q: QuotientGroup, path: Path) -> None:
     """Write to a temporary file beside `path`, then rename it into place,
     so a crash mid-write never leaves a partial file under the cache name."""
     flat = array("I", chain(q.gen_S, q.gen_T, chain.from_iterable(q.elements)))
+    umask = os.umask(0)  # reading the umask means setting it
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(_CACHE_MAGIC)
             fh.write(struct.pack("<Q", q.order))
             fh.write(flat.tobytes())
+        # mkstemp makes the file 0600; give it the mode open() would
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -1,15 +1,16 @@
 import random
 from collections import Counter
+from functools import reduce
 
 import pytest
 
 from hecke5.congruence import (
-    CongruenceReport, CosetTable, UndecidedError, algebraic_level,
+    CongruenceReport, CosetTable, UndecidedError, _ideal_divisors, algebraic_level,
     coset_table, enumerate_index, geometric_level_from_table, is_congruence,
     is_normal_table, schreier_generators, wohlfahrt_modulus,
 )
 from hecke5.farey import parse_hfs, side_pairing
-from hecke5.golden_ring import Modulus
+from hecke5.golden_ring import Modulus, gcd as golden_gcd
 from hecke5.hecke_matrices import decompose, omega_2, parse_word, word
 from hecke5.quotients import build_quotient, subgroup_closure
 from hecke5.hecke_matrices import eval_word
@@ -142,11 +143,47 @@ class TestSoundness:
         assert is_congruence(conj).verdict == "not-congruence"
 
 
+def image(words, n):
+    """The image of the subgroup generated by `words` in Q(n)."""
+    q = build_quotient(Modulus.rational(n))
+    return subgroup_closure(q, [eval_word(w) for w in words])
+
+
+def level_oracle(words, index, big):
+    """The algebraic level from the generators, divisor by divisor.
+
+    The subgroup contains G(d) iff its image in Q(d) has the subgroup's
+    index; the level is the gcd of the passing divisors d of (big).
+    """
+    passing = []
+    for d in _ideal_divisors(big):
+        q = build_quotient(Modulus.ideal(d))
+        img = subgroup_closure(q, [eval_word(w) for w in words])
+        if q.order == img.order * index:
+            passing.append(d)
+    return str(Modulus.ideal(reduce(golden_gcd, passing)))
+
+
 class TestAlgebraicLevel:
     def test_minimal_divisor_found(self):
-        words = hfs_words("i5-level5")
-        level = algebraic_level(words, index=5, big=5)
+        level = algebraic_level(image(hfs_words("i5-level5"), 5), index=5)
         assert str(level) == "(2+L)"
+        # an image of index 1 at test modulus 8: not congruence there
+        with pytest.raises(ValueError):
+            algebraic_level(image(hfs_words("i5-level4"), 8), index=5)
+
+    def test_matches_oracle(self):
+        cases = [(schreier_generators(t), t)
+                 for n in (5, 6) for t in enumerate_index(n)]
+        cases += [(hfs_words(name), None) for name in EXAMPLES]
+        checked = 0
+        for words, table in cases:
+            r = is_congruence(words, table=table)
+            if r.is_congruence:
+                assert r.algebraic_level == level_oracle(
+                    words, r.index, r.test_modulus)
+                checked += 1
+        assert checked == 31  # 15 at index 5, 12 at index 6, 4 symbols
 
     def test_image_index_consistency(self):
         # the level-(2+L) image and the mod-5 image give the same verdict

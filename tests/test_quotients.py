@@ -1,5 +1,7 @@
 import hashlib
+import os
 import random
+import stat
 import struct
 
 import pytest
@@ -199,6 +201,17 @@ def test_rational_and_ideal_share_one_quotient(tmp_path, empty_memo):
     quotients._memo.clear()
     build_quotient(ideal, cache_dir=tmp_path)
     assert len(list(tmp_path.iterdir())) == 1
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_disk_cache_file_mode_follows_umask(tmp_path, empty_memo, umask, mode):
+    old = os.umask(umask)
+    try:
+        build_quotient(Modulus.rational(4), cache_dir=tmp_path)
+    finally:
+        os.umask(old)
+    (path,) = tmp_path.iterdir()
+    assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
 @pytest.mark.parametrize("garbage", [b"not a quotient cache file", b"HQC1\x05"])
