@@ -22,8 +22,8 @@ from .quotients import (
     QuotientCapError, build_quotient, kernel_predicate, normal_closure,
 )
 from .congruence import (
-    UndecidedError, enumerate_index, is_congruence, is_normal_table,
-    schreier_generators,
+    DEFAULT_COSET_CAP, UndecidedError, coset_table, enumerate_index,
+    is_congruence, is_normal_table,
 )
 from .farey import parse_hfs, side_pairing
 from .verify import REGISTRY, run_all, run_check
@@ -149,7 +149,11 @@ def _input_words(args) -> list:
 
 def cmd_congruence(args) -> int:
     words = _input_words(args)
-    report = is_congruence(words)
+    try:
+        table = coset_table(words, cap=args.coset_cap)
+    except UndecidedError as exc:
+        raise UndecidedError(f"{exc}; raise --coset-cap") from exc
+    report = is_congruence(words, table=table)
     rec = report.to_dict()
     rec["record"] = "congruence"
     _emit(args, [
@@ -170,7 +174,7 @@ def cmd_census(args) -> int:
     def rows():  # each row is printed as soon as it is decided
         for i, t in enumerate(tables):
             normal = is_normal_table(t)
-            report = is_congruence(schreier_generators(t), table=t)
+            report = is_congruence([], table=t)
             note = "unasserted" if normal and args.index == 5 else ""
             rec = {"record": "census-row", "id": i, "index": t.degree,
                    "v2": sum(1 for j in range(t.degree) if t.perm_s[j] == j),
@@ -238,6 +242,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--hfs-file")
     sp.add_argument("--gens", action="append",
                     help="generator word (repeatable)")
+    sp.add_argument("--coset-cap", type=int, default=DEFAULT_COSET_CAP,
+                    help="most cosets to enumerate before giving up "
+                         "(exit 2); default %(default)s")
     common(sp)
     sp.set_defaults(fn=cmd_congruence)
 

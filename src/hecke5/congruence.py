@@ -4,17 +4,16 @@ A finite-index subgroup K is handed over as a list of generator words.
 Coset enumeration over the presentation <s, u | s^2 = u^5 = 1> (with
 T = S*U) gives the index and the T-action on cosets, hence the geometric
 level m.  The Wohlfahrt criterion reduces congruence to a finite check:
-K is congruence iff G(M) <= K for M = m (m not divisible by 4) or 2m,
-which holds iff [G5 : K] equals the index of K's image I in Q(M) = G5/G(M).
-For an ideal (d) dividing (M), G(d) <= K iff I holds the whole kernel of
-Q(M) -> Q(d); the algebraic level is the gcd of those (d).
+K is congruence iff G(M) <= K for M = m (m not divisible by 4) or 2m.
+G(d) <= K iff the coset K*w depends only on w's image in Q(d) = G5/G(d),
+which one labelled walk of Q(d) decides (`_conflicts`); the algebraic
+level is the least-norm ideal divisor (d) of (M) whose walk has no conflict.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from functools import reduce
 from math import lcm
 
 from sympy.combinatorics.fp_groups import (
@@ -23,13 +22,11 @@ from sympy.combinatorics.fp_groups import (
 from sympy.combinatorics.free_groups import free_group
 
 from . import __version__
-from .golden_ring import (
-    GoldenInt, Modulus, classify_rational_prime, factor, gcd as golden_gcd,
-    rational_integer_below,
-)
-from .hecke_matrices import Word, eval_word, word
+from .golden_ring import GoldenInt, Modulus, classify_rational_prime, factor
+from .hecke_matrices import Word, word
 from .quotients import (
-    SubgroupHandle, build_quotient, kernel_predicate, subgroup_closure,
+    DEFAULT_ELEMENT_CAP, QuotientCapError, _generator_actions, build_quotient,
+    residue_ambient,
 )
 
 
@@ -37,7 +34,7 @@ class UndecidedError(RuntimeError):
     """Raised when an enumeration cap is hit before a verdict is reached."""
 
 
-DEFAULT_COSET_CAP = 100_000
+DEFAULT_COSET_CAP = 5_000
 
 _F, _s, _u = free_group("s u")
 _PRESENTATION = FpGroup(_F, [_s**2, _u**5])
@@ -105,6 +102,8 @@ def _to_presentation_word(w: Word):
 
 
 def coset_table(generators: list[Word], cap: int = DEFAULT_COSET_CAP) -> CosetTable:
+    if cap < 1:  # sympy reads a cap of 0 as no cap at all
+        raise ValueError(f"coset cap must be at least 1, not {cap}")
     subgroup = [_to_presentation_word(w) for w in generators]
     try:
         table = coset_enumeration_r(_PRESENTATION, subgroup, max_cosets=cap)
@@ -196,18 +195,77 @@ class CongruenceReport:
 
 def is_congruence(generators: list[Word],
                   table: CosetTable | None = None) -> CongruenceReport:
+    """Decide congruence from K's coset table; `generators` are only
+    enumerated when no table is given."""
     if table is None:
         table = coset_table(generators)
     index = table.degree
     m = geometric_level_from_table(table)
     big = wohlfahrt_modulus(m)
-    q = build_quotient(Modulus.rational(big))
-    image = subgroup_closure(q, [eval_word(w) for w in generators])
-    qo, io = q.order, image.order
-    if qo == io * index:
-        level = algebraic_level(image, index)
-        return CongruenceReport(index, m, big, qo, io, "congruence", str(level))
-    return CongruenceReport(index, m, big, qo, io, "not-congruence")
+    qo = build_quotient(Modulus.rational(big)).order
+    level = algebraic_level(table, big)
+    if level is not None:
+        return CongruenceReport(index, m, big, qo, qo // index, "congruence",
+                                str(level))
+    blocks = _block_count(table, _conflicts(table, Modulus.rational(big)))
+    return CongruenceReport(index, m, big, qo, qo // blocks, "not-congruence")
+
+
+def _conflicts(t: CosetTable, d: Modulus):
+    """Walk Q(d) breadth-first from the identity, labelling each element
+    with a coset: the identity gets 0, x*S gets perm_s[label(x)] and x*T
+    gets perm_t[label(x)].  Yields (label, other label) whenever a reached
+    element gets a second, different label; none are yielded iff G(d) <= K.
+
+    Two words with one image in Q(d) differ by some g in G(d), and
+    K*g*w = K*w iff g is in K.  Each edge off the walk's spanning tree is a
+    Schreier generator of G(d), so checking every edge is complete.
+    """
+    identity = residue_ambient(d).identity  # raises above the ring cap
+    actions = list(zip(_generator_actions(d, True), (t.perm_s, t.perm_t)))
+    label = {identity: 0}
+    order = [identity]
+    for x in order:  # grows while it is walked
+        a = label[x]
+        for act, perm in actions:
+            y, b = act(x), perm[a]
+            c = label.get(y)
+            if c is None:
+                if len(order) >= DEFAULT_ELEMENT_CAP:
+                    raise QuotientCapError(len(order))
+                label[y] = b
+                order.append(y)
+            elif c != b:
+                yield c, b
+
+
+def _block_count(t: CosetTable, pairs) -> int:
+    """Blocks of the finest S- and T-invariant partition of the cosets that
+    joins every pair; stops reading pairs once there is one block.
+
+    Fed a walk's conflicts, the blocks are the orbits of G(d), so K's image
+    in Q(d) has order |Q(d)| / blocks.
+    """
+    parent = list(range(t.degree))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    blocks = t.degree
+    for pair in pairs:
+        pending = [pair]
+        while pending:
+            a, b = map(find, pending.pop())
+            if a == b:
+                continue
+            parent[b] = a
+            blocks -= 1
+            if blocks == 1:
+                return 1
+            pending += [(t.perm_s[a], t.perm_s[b]), (t.perm_t[a], t.perm_t[b])]
+    return blocks
 
 
 def _ideal_divisors(n: int) -> list[GoldenInt]:
@@ -224,18 +282,17 @@ def _ideal_divisors(n: int) -> list[GoldenInt]:
     return divisors
 
 
-def algebraic_level(image: SubgroupHandle, index: int) -> Modulus:
-    """Smallest (d) dividing (M) with G(d) <= K, from K's image in Q(M), M rational."""
-    q = image.parent
-    if q.order != image.order * index:
-        raise ValueError("subgroup is not congruence at this modulus")
-    passing = []
-    for d in _ideal_divisors(rational_integer_below(q.modulus)):
-        in_kernel = kernel_predicate(q, Modulus.ideal(d))
-        count = sum(1 for x in image.members if in_kernel(x))
-        if count * build_quotient(Modulus.ideal(d)).order == q.order:
-            passing.append(d)
-    return Modulus.ideal(reduce(golden_gcd, passing))
+def algebraic_level(t: CosetTable, big: int) -> Modulus | None:
+    """Least-norm ideal (d) dividing (big) with G(d) <= K, or None.
+
+    Each divisor's walk stops at its first conflict.  The passing divisors
+    are closed under gcd (a test checks this on the census), so the first
+    one to pass is the algebraic level.
+    """
+    for d in sorted(_ideal_divisors(big), key=lambda g: abs(g.norm())):
+        if next(_conflicts(t, Modulus.ideal(d)), None) is None:
+            return Modulus.ideal(d)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,30 @@ class TestCongruence:
                               "--hfs-file", "/no/such/file")
         assert code == 1
 
+    @pytest.mark.parametrize("gen", ["S", "T^2"])
+    def test_infinite_index_is_undecided_in_bounded_time(self, capsys, gen):
+        start = time.perf_counter()
+        code, _, err = invoke(capsys, "congruence", "--gens", gen)
+        assert time.perf_counter() - start < 10
+        assert code == 2
+        assert "undecided: coset enumeration exceeded 5000 cosets" in err
+        assert "--coset-cap" in err
+
+    def test_coset_cap_option(self, capsys):
+        code, _, err = invoke(capsys, "congruence", "--gens", "S",
+                              "--coset-cap", "100")
+        assert code == 2
+        assert "exceeded 100 cosets" in err
+        # an index-2 subgroup fits well inside a small cap
+        code, out, _ = invoke(capsys, "congruence", "--hfs",
+                              EXAMPLES["index2"][0], "--coset-cap", "100")
+        assert code == 0
+        assert "verdict: congruence" in out
+        code, _, err = invoke(capsys, "congruence", "--gens", "S",
+                              "--coset-cap", "0")
+        assert code == 1
+        assert "error: coset cap must be at least 1, not 0" in err
+
 
 class TestCensus:
     def test_index_two(self, capsys):

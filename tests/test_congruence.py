@@ -5,14 +5,16 @@ from functools import reduce
 import pytest
 
 from hecke5.congruence import (
-    CongruenceReport, CosetTable, UndecidedError, _ideal_divisors, algebraic_level,
-    coset_table, enumerate_index, geometric_level_from_table, is_congruence,
-    is_normal_table, schreier_generators, wohlfahrt_modulus,
+    CongruenceReport, CosetTable, UndecidedError, _conflicts, _ideal_divisors,
+    algebraic_level, coset_table, enumerate_index, geometric_level_from_table,
+    is_congruence, is_normal_table, schreier_generators, wohlfahrt_modulus,
 )
 from hecke5.farey import parse_hfs, side_pairing
 from hecke5.golden_ring import Modulus, gcd as golden_gcd
 from hecke5.hecke_matrices import decompose, omega_2, parse_word, word
-from hecke5.quotients import build_quotient, subgroup_closure
+from hecke5.quotients import (
+    _generator_actions, build_quotient, normal_closure, subgroup_closure,
+)
 from hecke5.hecke_matrices import eval_word
 
 from test_farey import EXAMPLES
@@ -44,6 +46,9 @@ class TestCosetTable:
     def test_infinite_index_hits_cap(self):
         with pytest.raises(UndecidedError):
             coset_table([parse_word("T")], cap=200)
+        # sympy would read a cap of 0 as no cap and never return
+        with pytest.raises(ValueError):
+            coset_table([parse_word("T")], cap=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -164,26 +169,129 @@ def level_oracle(words, index, big):
     return str(Modulus.ideal(reduce(golden_gcd, passing)))
 
 
+def passes(t, d: Modulus):
+    """True iff the walk of Q(d) finds no conflict, that is G(d) <= K."""
+    return next(_conflicts(t, d), None) is None
+
+
+def right_coset_table(q, h):
+    """Right action of S and T on the right cosets h*x of a subgroup h of q."""
+    ids, reps = {}, []
+
+    def coset(x):
+        if x not in ids:
+            for k in h.members:
+                ids[q.mult(k, x)] = len(reps)
+            reps.append(x)
+        return ids[x]
+
+    coset(q.identity)
+    perms = ([], [])
+    for x in reps:  # grows while it is walked
+        for act, perm in zip(_generator_actions(q.modulus, True), perms):
+            perm.append(coset(act(x)))
+    return CosetTable(tuple(perms[0]), tuple(perms[1]))
+
+
+def intersection_table(a, b):
+    """Coset table of the intersection of the subgroups of two tables."""
+    ids, pairs = {(0, 0): 0}, [(0, 0)]
+    perms = ([], [])
+    for i, j in pairs:  # grows while it is walked
+        for perm, pa, pb in zip(perms, (a.perm_s, a.perm_t), (b.perm_s, b.perm_t)):
+            y = (pa[i], pb[j])
+            if y not in ids:
+                ids[y] = len(pairs)
+                pairs.append(y)
+            perm.append(ids[y])
+    return CosetTable(tuple(perms[0]), tuple(perms[1]))
+
+
 class TestAlgebraicLevel:
     def test_minimal_divisor_found(self):
-        level = algebraic_level(image(hfs_words("i5-level5"), 5), index=5)
+        level = algebraic_level(coset_table(hfs_words("i5-level5")), 5)
         assert str(level) == "(2+L)"
-        # an image of index 1 at test modulus 8: not congruence there
-        with pytest.raises(ValueError):
-            algebraic_level(image(hfs_words("i5-level4"), 8), index=5)
+        # the level-4 subgroup contains G(d) for no divisor d of its test modulus
+        assert algebraic_level(coset_table(hfs_words("i5-level4")), 8) is None
 
     def test_matches_oracle(self):
+        """Verdict, image order and level against closures of the generators."""
         cases = [(schreier_generators(t), t)
                  for n in (5, 6) for t in enumerate_index(n)]
         cases += [(hfs_words(name), None) for name in EXAMPLES]
         checked = 0
         for words, table in cases:
             r = is_congruence(words, table=table)
+            io = image(words, r.test_modulus).order
+            assert r.image_order == io
+            assert r.is_congruence == (r.quotient_order == io * r.index)
             if r.is_congruence:
                 assert r.algebraic_level == level_oracle(
                     words, r.index, r.test_modulus)
                 checked += 1
+            else:
+                assert r.algebraic_level is None
         assert checked == 31  # 15 at index 5, 12 at index 6, 4 symbols
+
+    def test_image_order_of_intersections(self):
+        """Image orders where K's image is a proper subgroup of Q(M).
+
+        K runs over the intersections of a congruence and a not-congruence
+        index-6 subgroup, of geometric levels 3 and 6.  On 3 of these 108,
+        joining only the walk's conflicting pairs leaves 7 or 8 blocks
+        where there are 6 G(6)-orbits: the blocks must be closed under S
+        and T.
+        """
+        level3, level6 = [], []
+        for t in enumerate_index(6):
+            r = is_congruence([], table=t)
+            if (r.geometric_level, r.verdict) == (3, "congruence"):
+                level3.append(t)
+            elif (r.geometric_level, r.verdict) == (6, "not-congruence"):
+                level6.append(t)
+        proper = 0
+        for a in level3:
+            for b in level6:
+                t = intersection_table(a, b)
+                r = is_congruence([], table=t)
+                assert r.verdict == "not-congruence"
+                assert r.image_order == image(schreier_generators(t), 6).order
+                proper += r.image_order < r.quotient_order
+        assert proper == 108
+
+    def test_passing_divisors_closed_under_gcd(self):
+        # the level is the first passing divisor by norm only because of this
+        rows = 0
+        for t in enumerate_index(5) + enumerate_index(6):
+            r = is_congruence([], table=t)
+            if not r.is_congruence:
+                continue
+            passing = [d for d in _ideal_divisors(r.test_modulus)
+                       if passes(t, Modulus.ideal(d))]
+            g = reduce(golden_gcd, passing)
+            assert passes(t, Modulus.ideal(g))
+            least = min(passing, key=lambda d: abs(d.norm()))
+            assert Modulus.ideal(g) == Modulus.ideal(least)
+            assert r.algebraic_level == str(Modulus.ideal(g))
+            rows += 1
+        assert rows == 27
+
+    def test_modulus_r_suffices_unless_four_divides_r(self):
+        """Where 4 does not divide the level r, G(r) <= K iff G(2r) <= K.
+
+        One way holds as G(2r) <= G(r); for the other, a conflict in Q(r)
+        must show up in Q(2r) too.  Neither walk enumerates Q(2r) whole.
+        """
+        rows = conflicts = 0
+        for t in enumerate_index(5) + enumerate_index(6):
+            r = geometric_level_from_table(t)
+            if r % 4 == 0:
+                continue
+            if not passes(t, Modulus.rational(r)):
+                assert not passes(t, Modulus.rational(2 * r)), t
+                conflicts += 1
+            rows += 1
+        assert (rows, conflicts) == (63, 36)
 
     def test_image_index_consistency(self):
         # the level-(2+L) image and the mod-5 image give the same verdict
@@ -245,6 +353,23 @@ class TestCensus:
         assert verdicts[(3, "congruence")] == 5
         assert verdicts[(4, "not-congruence")] == 5
         assert verdicts[(5, "congruence")] == 5  # the non-normal class
+
+
+def test_sharpness_witness():
+    """The paper's witness that the test modulus must be 2r when 4 | r.
+
+    K is the preimage of H = N(T^4) in Q(8): geometric level 4, congruence
+    of algebraic level (8), so G(8) <= K but G(4) is not.
+    """
+    q = build_quotient(Modulus.rational(8))
+    h = normal_closure(q, [eval_word(parse_word("T^4"))])
+    assert h.order == 32
+    t = right_coset_table(q, h)
+    assert (t.degree, geometric_level_from_table(t)) == (320, 4)
+    r = is_congruence([], table=t)
+    assert (r.test_modulus, r.verdict, r.algebraic_level) == (8, "congruence", "(8)")
+    assert r.image_order == 32
+    assert not passes(t, Modulus.rational(4))
 
 
 def test_no_index_five_subgroup_has_level_six():
