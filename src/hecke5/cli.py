@@ -18,12 +18,10 @@ from sympy import divisors
 from . import __version__
 from .golden_ring import Modulus, parse_golden
 from .hecke_matrices import NotInG5Error, decompose, eval_word, parse_word
-from .quotients import (
-    QuotientCapError, build_quotient, kernel_predicate, normal_closure,
-)
+from .quotients import build_quotient, kernel_predicate, normal_closure
 from .congruence import (
     DEFAULT_COSET_CAP, UndecidedError, coset_table, enumerate_index,
-    is_congruence, is_normal_table,
+    is_congruence, is_normal_table, levels,
 )
 from .farey import parse_hfs, side_pairing
 from .verify import REGISTRY, run_all, run_check
@@ -174,18 +172,18 @@ def cmd_census(args) -> int:
     def rows():  # each row is printed as soon as it is decided
         for i, t in enumerate(tables):
             normal = is_normal_table(t)
-            report = is_congruence([], table=t)
+            m, _, level = levels(t)
+            level = None if level is None else str(level)
+            verdict = "congruence" if level else "not-congruence"
             note = "unasserted" if normal and args.index == 5 else ""
             rec = {"record": "census-row", "id": i, "index": t.degree,
                    "v2": sum(1 for j in range(t.degree) if t.perm_s[j] == j),
-                   "geometric_level": report.geometric_level, "normal": normal,
-                   "verdict": report.verdict,
-                   "algebraic_level": report.algebraic_level, "note": note}
+                   "geometric_level": m, "normal": normal,
+                   "verdict": verdict, "algebraic_level": level, "note": note}
             yield rec, (
-                f"#{i}: index {t.degree}, v2 {rec['v2']}, "
-                f"level {report.geometric_level}, "
-                f"{'normal, ' if normal else ''}{report.verdict}"
-                + (f" ({report.algebraic_level})" if report.algebraic_level else "")
+                f"#{i}: index {t.degree}, v2 {rec['v2']}, level {m}, "
+                f"{'normal, ' if normal else ''}{verdict}"
+                + (f" ({level})" if level else "")
                 + (f" [{note}]" if note else ""))
         yield None, f"total: {len(tables)} subgroups of index {args.index}"
 
@@ -260,7 +258,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UndecidedError, QuotientCapError) as exc:
+    except UndecidedError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
     except (ValueError, NotInG5Error, OSError) as exc:

@@ -19,14 +19,21 @@ Mult = Callable[[Key, Key], Key]
 Action = Callable[[Key], Key]
 
 
-class ClosureCapExceeded(RuntimeError):
-    def __init__(self, partial_count: int):
-        super().__init__(f"closure exceeded element cap (partial count {partial_count})")
-        self.partial_count = partial_count
+# Every enumeration stops at this many elements (about 300 MB of keys), so
+# an input whose group is too large ends undecided instead of running on.
+DEFAULT_ELEMENT_CAP = 2_000_000
+
+
+class UndecidedError(RuntimeError):
+    """An enumeration reached its cap before the answer was known."""
+
+
+def _cap_reached(cap: int) -> UndecidedError:
+    return UndecidedError(f"closure reached the element cap of {cap}")
 
 
 def generated_closure(identity: Key, actions: Iterable[Action],
-                      cap: int | None = None) -> set[Key]:
+                      cap: int = DEFAULT_ELEMENT_CAP) -> set[Key]:
     """The subgroup generated by the elements whose right multiplications
     are `actions` (finite ambient assumed): the orbit of `identity`."""
     actions = list(actions)
@@ -37,22 +44,22 @@ def generated_closure(identity: Key, actions: Iterable[Action],
         for act in actions:
             y = act(x)
             if y not in seen:
-                if cap is not None and len(seen) >= cap:
-                    raise ClosureCapExceeded(len(seen))
+                if len(seen) >= cap:
+                    raise _cap_reached(cap)
                 seen.add(y)
                 frontier.append(y)
     return seen
 
 
 def subgroup(identity: Key, generators: Iterable[Key], mult: Mult,
-             cap: int | None = None) -> set[Key]:
+             cap: int = DEFAULT_ELEMENT_CAP) -> set[Key]:
     """The subgroup generated by `generators`, by Dimino's algorithm."""
     return _dimino(identity, generators, mult, (), cap)
 
 
 def normal_closure(identity: Key, seeds: Iterable[Key], mult: Mult,
                    conjugators: Iterable[tuple[Key, Key]],
-                   cap: int | None = None) -> set[Key]:
+                   cap: int = DEFAULT_ELEMENT_CAP) -> set[Key]:
     """Smallest subgroup containing `seeds` closed under the given conjugations.
 
     `conjugators` is a list of (g, g^-1) pairs; the result is the normal
@@ -62,8 +69,7 @@ def normal_closure(identity: Key, seeds: Iterable[Key], mult: Mult,
 
 
 def _dimino(identity: Key, seeds: Iterable[Key], mult: Mult,
-            conjugators: Iterable[tuple[Key, Key]],
-            cap: int | None) -> set[Key]:
+            conjugators: Iterable[tuple[Key, Key]], cap: int) -> set[Key]:
     """Dimino's algorithm (Butler, Fundamental Algorithms for Permutation
     Groups, LNCS 559).
 
@@ -100,20 +106,21 @@ def _dimino(identity: Key, seeds: Iterable[Key], mult: Mult,
 
 
 def _add_coset(members: list, seen: set, block: list, r: Key, mult: Mult,
-               cap: int | None) -> None:
-    if cap is not None and len(seen) + len(block) > cap:
-        raise ClosureCapExceeded(len(seen))
+               cap: int) -> None:
+    if len(seen) + len(block) > cap:
+        raise _cap_reached(cap)
     for h in block:
         y = mult(h, r)
         members.append(y)
         seen.add(y)
 
 
-def element_order(x: Key, identity: Key, mult: Mult, cap: int = 1_000_000) -> int:
+def element_order(x: Key, identity: Key, mult: Mult,
+                  cap: int = DEFAULT_ELEMENT_CAP) -> int:
     n, y = 1, x
     while y != identity:
         y = mult(y, x)
         n += 1
         if n > cap:
-            raise ClosureCapExceeded(n)
+            raise _cap_reached(cap)
     return n

@@ -22,17 +22,10 @@ from sympy.combinatorics.fp_groups import (
 from sympy.combinatorics.free_groups import free_group
 
 from . import __version__
+from .closure import DEFAULT_ELEMENT_CAP, UndecidedError
 from .golden_ring import GoldenInt, Modulus, classify_rational_prime, factor
 from .hecke_matrices import Word, word
-from .quotients import (
-    DEFAULT_ELEMENT_CAP, QuotientCapError, _generator_actions, build_quotient,
-    residue_ambient,
-)
-
-
-class UndecidedError(RuntimeError):
-    """Raised when an enumeration cap is hit before a verdict is reached."""
-
+from .quotients import _generator_actions, build_quotient, residue_ambient
 
 DEFAULT_COSET_CAP = 5_000
 
@@ -193,6 +186,14 @@ class CongruenceReport:
                                    for f in fields(CongruenceReport)})
 
 
+def levels(t: CosetTable) -> tuple[int, int, Modulus | None]:
+    """K's geometric level m, test modulus M and algebraic level, which is
+    None iff K is not congruence."""
+    m = geometric_level_from_table(t)
+    big = wohlfahrt_modulus(m)
+    return m, big, algebraic_level(t, big)
+
+
 def is_congruence(generators: list[Word],
                   table: CosetTable | None = None) -> CongruenceReport:
     """Decide congruence from K's coset table; `generators` are only
@@ -200,10 +201,8 @@ def is_congruence(generators: list[Word],
     if table is None:
         table = coset_table(generators)
     index = table.degree
-    m = geometric_level_from_table(table)
-    big = wohlfahrt_modulus(m)
+    m, big, level = levels(table)
     qo = build_quotient(Modulus.rational(big)).order
-    level = algebraic_level(table, big)
     if level is not None:
         return CongruenceReport(index, m, big, qo, qo // index, "congruence",
                                 str(level))
@@ -232,7 +231,8 @@ def _conflicts(t: CosetTable, d: Modulus):
             c = label.get(y)
             if c is None:
                 if len(order) >= DEFAULT_ELEMENT_CAP:
-                    raise QuotientCapError(len(order))
+                    raise UndecidedError(f"walk reached the element cap of "
+                                         f"{DEFAULT_ELEMENT_CAP}")
                 label[y] = b
                 order.append(y)
             elif c != b:

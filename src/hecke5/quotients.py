@@ -22,7 +22,8 @@ from pathlib import Path
 from typing import Callable
 
 from .closure import (
-    ClosureCapExceeded, element_order, generated_closure, subgroup,
+    DEFAULT_ELEMENT_CAP, UndecidedError, element_order, generated_closure,
+    subgroup,
 )
 from .closure import normal_closure as _normal_closure_engine
 from .golden_ring import (
@@ -34,16 +35,8 @@ from .hecke_matrices import GMat, IDENTITY, ProjMat, S_MAT, T_MAT
 # The add and mul tables have ring_size**2 entries each: 1M at this cap,
 # the ring of mod 32.
 DEFAULT_RING_CAP = 1024
-DEFAULT_ELEMENT_CAP = 2_000_000
 
 Key = tuple[int, int, int, int]
-
-
-class QuotientCapError(RuntimeError):
-    def __init__(self, partial_count: int, message: str | None = None):
-        super().__init__(message or
-                         f"quotient cap exceeded (partial count {partial_count})")
-        self.partial_count = partial_count
 
 
 def _signed(neg: list[int], t: Key) -> Key:
@@ -141,8 +134,8 @@ class SubgroupHandle:
 
 def _ambient(modulus: Modulus, projective: bool, ring_cap: int) -> QuotientGroup:
     if modulus.ring_size > ring_cap:
-        raise QuotientCapError(
-            0, f"residue ring size {modulus.ring_size} exceeds cap {ring_cap}")
+        raise UndecidedError(
+            f"residue ring size {modulus.ring_size} exceeds cap {ring_cap}")
     mult = _make_mult(modulus, projective)
     stub = QuotientGroup(modulus, projective, None, (), (), mult)
     return replace(stub, gen_S=stub.key_of(S_MAT), gen_T=stub.key_of(T_MAT))
@@ -184,11 +177,8 @@ def _load_or_build(modulus: Modulus, projective: bool, ring_cap: int,
         except (FileNotFoundError, ValueError, struct.error):
             pass  # no file, or one that does not load: a miss
     q = _ambient(modulus, projective, ring_cap)
-    try:
-        elements = generated_closure(
-            q.identity, _generator_actions(modulus, projective), element_cap)
-    except ClosureCapExceeded as exc:
-        raise QuotientCapError(exc.partial_count) from exc
+    elements = generated_closure(
+        q.identity, _generator_actions(modulus, projective), element_cap)
     q = replace(q, elements=frozenset(elements))
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -199,7 +189,7 @@ def _load_or_build(modulus: Modulus, projective: bool, ring_cap: int,
 def residue_ambient(modulus: Modulus, projective: bool = True) -> QuotientGroup:
     """Ambient handle for closures at moduli too large to enumerate fully.
 
-    Raises QuotientCapError when the residue ring exceeds DEFAULT_RING_CAP.
+    Raises UndecidedError when the residue ring exceeds DEFAULT_RING_CAP.
     """
     return _ambient(modulus, projective, DEFAULT_RING_CAP)
 

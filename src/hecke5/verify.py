@@ -192,9 +192,10 @@ def check_oracle_unipotent(p: int) -> CheckResult:
 
 
 def check_oracle_closure(m: int, p: int) -> CheckResult:
-    ok = oracle.check_lemma_d2(m, p)
+    order = oracle.d2_closure_order(m, p)
+    ok = order == oracle.reduction_kernel_order(m * p, m)
     return _result("oracle-closure", {"m": m, "p": p}, ok,
-                   f"closure order {oracle.d2_closure_order(m, p)}")
+                   f"closure order {order}")
 
 
 def check_oracle_wohlfahrt(r: int, s: int) -> CheckResult:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from hecke5 import cli
+from hecke5 import cli, congruence
 from hecke5.cli import main
 from hecke5.congruence import CongruenceReport
 
@@ -143,6 +143,17 @@ class TestVerify:
         assert exc.value.code == 1
         assert "unrecognized arguments: --ring-cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("--lemma", "D1", "--p", "211"),  # |SL(2, 211)| is 9393720
+        ("--lemma", "2.2", "--m", "1", "--p", "31"),
+    ])
+    def test_element_cap_is_undecided(self, capsys, low_element_cap, argv):
+        code, out, err = invoke(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (f"undecided: closure reached the element cap of "
+                       f"{low_element_cap}\n")
+
     def test_needs_a_selector(self, capsys):
         code, _, err = invoke(capsys, "verify")
         assert code == 1
@@ -244,22 +255,32 @@ class TestCensus:
         assert code == 0
         assert out == (Path(__file__).parent / "data" / "census_index5.txt").read_text()
 
+    def test_rows_need_no_quotient(self, capsys, monkeypatch):
+        expected = invoke(capsys, "census", "--index", "6")
+
+        def build_quotient(*args, **kwargs):
+            raise AssertionError("the census enumerated a quotient")
+
+        monkeypatch.setattr(congruence, "build_quotient", build_quotient)
+        assert invoke(capsys, "census", "--index", "6") == expected
+        assert expected[0] == 0
+
     def test_rows_printed_as_decided(self, capsys, monkeypatch):
         class Stop(Exception):
             pass
 
         decided = []
 
-        def is_congruence(gens, table):
+        def levels(table):
             if decided:
                 # the first row must already be out when the second is decided
                 assert capsys.readouterr().out.count("census-row") == 1
                 raise Stop
             decided.append(table)
-            return real(gens, table=table)
+            return real(table)
 
-        real = cli.is_congruence
-        monkeypatch.setattr(cli, "is_congruence", is_congruence)
+        real = cli.levels
+        monkeypatch.setattr(cli, "levels", levels)
         with pytest.raises(Stop):
             main(["census", "--index", "5", "--format", "json"])
 

@@ -10,11 +10,12 @@ from hypothesis import given, strategies as st
 from hecke5.closure import generated_closure
 from hecke5.golden_ring import GoldenInt, Modulus, RAMIFIED_PRIME
 from hecke5.hecke_matrices import (
-    delta_m, eval_word, eval_word_homogeneous, parse_word, word,
+    delta_m, elementary_generators, eval_word, eval_word_homogeneous,
+    parse_word, word,
 )
-from hecke5 import quotients
+from hecke5 import closure, congruence, quotients
 from hecke5.quotients import (
-    QuotientCapError, _cache_name, _load_quotient, build_quotient, check_elementary_abelian,
+    UndecidedError, _cache_name, _load_quotient, build_quotient, check_elementary_abelian,
     kernel_subgroup, normal_closure, residue_ambient, sl2_enumeration_order,
     sl_index_formula, subgroup_closure,
 )
@@ -49,12 +50,24 @@ class TestOrders:
         assert q(1).order == 1
 
     def test_ring_cap(self):
-        with pytest.raises(QuotientCapError):
+        with pytest.raises(UndecidedError):
             build_quotient(Modulus.rational(10**9))
-        with pytest.raises(QuotientCapError):
+        with pytest.raises(UndecidedError):
             build_quotient(Modulus.rational(33))  # ring 1089 > 1024
-        with pytest.raises(QuotientCapError):
+        with pytest.raises(UndecidedError):
             residue_ambient(Modulus.rational(33))
+
+    def test_one_undecided_error(self):
+        assert closure.UndecidedError is UndecidedError
+        assert congruence.UndecidedError is UndecidedError
+
+    def test_subgroup_closure_is_capped(self, low_element_cap):
+        # the elementary generators at m = 1 generate far more than 2M
+        # elements mod 31; uncapped, this closure ran out of memory
+        amb = residue_ambient(Modulus.rational(31))
+        with pytest.raises(UndecidedError,
+                           match=f"element cap of {low_element_cap}"):
+            subgroup_closure(amb, elementary_generators(1))
 
 
 class TestLagrange:
