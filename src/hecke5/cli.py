@@ -16,11 +16,12 @@ import sys
 from sympy import divisors
 
 from . import __version__
+from .closure import DEFAULT_ELEMENT_CAP, UndecidedError
 from .golden_ring import Modulus, parse_golden
 from .hecke_matrices import NotInG5Error, decompose, eval_word, parse_word
 from .quotients import build_quotient, kernel_predicate, normal_closure
 from .congruence import (
-    DEFAULT_COSET_CAP, UndecidedError, coset_table, enumerate_index,
+    DEFAULT_COSET_CAP, coset_table, enumerate_index,
     is_congruence, is_normal_table, levels,
 )
 from .farey import parse_hfs, side_pairing
@@ -68,13 +69,9 @@ def _modulus(args) -> Modulus:
 
 
 def _quotient_kwargs(args) -> dict:
-    kw = {}
+    kw = {"element_cap": args.element_cap}
     if args.cache_dir and not args.no_cache:
         kw["cache_dir"] = args.cache_dir
-    if args.element_cap:
-        kw["element_cap"] = args.element_cap
-    if args.ring_cap:
-        kw["ring_cap"] = args.ring_cap
     return kw
 
 
@@ -102,8 +99,8 @@ def cmd_closure(args) -> int:
     # d is a kernel level iff h lies in the kernel of Q(M) -> Q(d) and has
     # its order |Q(M)| / |Q(d)|; reduction onto Q(d) is surjective.
     matches = []
-    if mod.kind == "rational":
-        n = mod.generator.a
+    if mod.c == 0 and mod.d1 == mod.d2:  # (M) = (n) for a rational n
+        n = mod.d1
         for d in divisors(n):
             level = Modulus.rational(d)
             if not all(map(kernel_predicate(q, level), h.members)):
@@ -199,12 +196,14 @@ def build_parser() -> _Parser:
     def common(sp):
         sp.add_argument("--format", choices=("text", "json"), default="text")
 
-    def quotient_options(sp):  # the cache and caps of build_quotient
+    def quotient_options(sp):  # the cache and cap of build_quotient
         common(sp)
         sp.add_argument("--cache-dir", default=os.environ.get("HECKE5_CACHE_DIR"))
         sp.add_argument("--no-cache", action="store_true")
-        sp.add_argument("--element-cap", type=int, default=None)
-        sp.add_argument("--ring-cap", type=int, default=None)
+        sp.add_argument("--element-cap", type=int, default=DEFAULT_ELEMENT_CAP,
+                        help="most elements (residue table entries included) "
+                             "to enumerate before giving up (exit 2); "
+                             "default %(default)s")
 
     sp = sub.add_parser("quotient", help="order of the image mod a modulus")
     sp.add_argument("--mod", type=int)

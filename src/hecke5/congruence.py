@@ -22,7 +22,7 @@ from sympy.combinatorics.fp_groups import (
 from sympy.combinatorics.free_groups import free_group
 
 from . import __version__
-from .closure import DEFAULT_ELEMENT_CAP, UndecidedError
+from .closure import UndecidedError
 from .golden_ring import GoldenInt, Modulus, classify_rational_prime, factor
 from .hecke_matrices import Word, word
 from .quotients import _generator_actions, build_quotient, residue_ambient
@@ -220,7 +220,8 @@ def _conflicts(t: CosetTable, d: Modulus):
     K*g*w = K*w iff g is in K.  Each edge off the walk's spanning tree is a
     Schreier generator of G(d), so checking every edge is complete.
     """
-    identity = residue_ambient(d).identity  # raises above the ring cap
+    ambient = residue_ambient(d)  # raises if its tables pass the element cap
+    cap, identity = ambient.element_cap, ambient.identity
     actions = list(zip(_generator_actions(d, True), (t.perm_s, t.perm_t)))
     label = {identity: 0}
     order = [identity]
@@ -230,9 +231,9 @@ def _conflicts(t: CosetTable, d: Modulus):
             y, b = act(x), perm[a]
             c = label.get(y)
             if c is None:
-                if len(order) >= DEFAULT_ELEMENT_CAP:
+                if len(order) >= cap:
                     raise UndecidedError(f"walk reached the element cap of "
-                                         f"{DEFAULT_ELEMENT_CAP}")
+                                         f"{cap}")
                 label[y] = b
                 order.append(y)
             elif c != b:

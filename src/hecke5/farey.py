@@ -15,12 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .golden_ring import GoldenInt, parse_golden
-from .hecke_matrices import (
-    GMat, ProjMat, S_MAT, T_MAT, decompose,
-)
-
-_U5 = S_MAT * T_MAT  # order-5 rotation pairing the edge (-inf, 0)
+from .golden_ring import LAMBDA, GoldenInt, parse_golden
+from .hecke_matrices import GMat, ProjMat, decompose
 
 
 @dataclass(frozen=True)
@@ -133,67 +129,54 @@ def _parse_label(s: str) -> Label:
 # Side pairings.
 
 
-def _pair_even(u: Cusp, v: Cusp) -> GMat:
-    """Trace-0 element swapping u and v: W R W^-1 with R the quarter turn."""
-    det = u.num * v.den - v.num * u.den
-    if abs(det.norm()) != 1:
-        raise ValueError(f"edge ({u}, {v}) is not unimodular")
-    a, b, c, d = u.num, u.den, v.num, v.den
+Column = tuple[GoldenInt, GoldenInt]  # a cusp's (num, den)
+
+
+def _side_map(x: tuple[Column, Column], y: tuple[Column, Column],
+              message: str) -> GMat:
+    """[x0 x1] [y0 y1]^-1 for matrices given by their columns: the element
+    mapping cusp y0 to x0 and y1 to x1.  Both must be unimodular, else
+    ValueError(message)."""
+    (a, c), (b, d) = x
+    (p, r), (q, s) = y
+    det = p * s - q * r
+    if abs(det.norm()) != 1 or abs((a * d - b * c).norm()) != 1:
+        raise ValueError(message)
     inv = det.inverse()
-    # W * [[0,-1],[1,0]] * adj(W) * det^-1 with W = [u v]
-    t = a * b + c * d
-    return GMat(t * inv, -(a * a + c * c) * inv,
-                (b * b + d * d) * inv, -t * inv)
-
-
-def _pair_odd(u: Cusp, v: Cusp) -> GMat:
-    """Order-5 element pairing the edge (u, v), conjugate of the basic rotation."""
-    det = u.num * v.den - v.num * u.den
-    if abs(det.norm()) != 1:
-        raise ValueError(f"edge ({u}, {v}) is not unimodular")
-    # M maps the basic edge (-inf, 0) onto (u, v); M = [-u, v]
-    m11, m21, m12, m22 = -u.num, -u.den, v.num, v.den
-    mdet = -det
-    inv = mdet.inverse()
-    u5 = _U5
-    # M * U5 * adj(M) * mdet^-1
-    p11 = m11 * u5.e11 + m12 * u5.e21
-    p12 = m11 * u5.e12 + m12 * u5.e22
-    p21 = m21 * u5.e11 + m22 * u5.e21
-    p22 = m21 * u5.e12 + m22 * u5.e22
-    return GMat((p11 * m22 - p12 * m21) * inv, (-p11 * m12 + p12 * m11) * inv,
-                (p21 * m22 - p22 * m21) * inv, (-p21 * m12 + p22 * m11) * inv)
-
-
-def _pair_free(u1: Cusp, v1: Cusp, u2: Cusp, v2: Cusp) -> GMat:
-    """Infinite-order element mapping edge (u1, v1) onto (u2, v2) reversed."""
-    d1 = u1.num * v1.den - v1.num * u1.den
-    d2 = u2.num * v2.den - v2.num * u2.den
-    if abs(d1.norm()) != 1 or abs(d2.norm()) != 1:
-        raise ValueError("free edges must be unimodular")
-    inv = d1.inverse()
-    # [v2, -u2] * adj([u1 v1]) * d1^-1
-    a, b = v2.num, v2.den
-    c, d = -u2.num, -u2.den
-    w11, w12, w21, w22 = v1.den, -v1.num, -u1.den, u1.num  # adj([u1 v1])
-    return GMat((a * w11 + c * w21) * inv, (a * w12 + c * w22) * inv,
-                (b * w11 + d * w21) * inv, (b * w12 + d * w22) * inv)
+    # [a b; c d] * adj([p q; r s]) * det^-1
+    return GMat((a * s - b * r) * inv, (b * p - a * q) * inv,
+                (c * s - d * r) * inv, (d * p - c * q) * inv)
 
 
 def side_pairing(hfs: HeckeFareySymbol) -> list[ProjMat]:
-    """One generator per even label, odd label, and free pair, in symbol order."""
+    """One generator per even label, odd label, and free pair, in symbol order.
+
+    With u, v the columns of an edge's cusps:
+    - even, the trace-0 element swapping u and v: [v, -u] [u v]^-1;
+    - odd, the order-5 conjugate M (S T) M^-1 of the rotation pairing the
+      edge (-inf, 0), with M = [-u v] mapping that edge onto (u, v):
+      [-v, -u-Lv] [-u v]^-1;
+    - free, mapping the first edge (u1, v1) onto the second (u, v)
+      reversed: [v, -u] [u1 v1]^-1.
+    """
     gens: list[ProjMat] = []
-    free_first: dict[int, tuple[Cusp, Cusp]] = {}
-    for u, v, lab in hfs.edges():
+    free_first: dict[int, tuple[Column, Column]] = {}
+    for e0, e1, lab in hfs.edges():
+        u, v = (e0.num, e0.den), (e1.num, e1.den)
+        minus_u, minus_v = (-u[0], -u[1]), (-v[0], -v[1])
+        edge = f"edge ({e0}, {e1}) is not unimodular"
         if lab == EVEN:
-            gens.append(ProjMat.of(_pair_even(u, v)))
+            g = _side_map((v, minus_u), (u, v), edge)
         elif lab == ODD:
-            gens.append(ProjMat.of(_pair_odd(u, v)))
+            turn = (-u[0] - LAMBDA * v[0], -u[1] - LAMBDA * v[1])
+            g = _side_map((minus_v, turn), (minus_u, v), edge)
         elif lab in free_first:
-            u1, v1 = free_first.pop(lab)
-            gens.append(ProjMat.of(_pair_free(u1, v1, u, v)))
+            g = _side_map((v, minus_u), free_first.pop(lab),
+                          "free edges must be unimodular")
         else:
             free_first[lab] = (u, v)
+            continue
+        gens.append(ProjMat.of(g))
     for g in gens:
         decompose(g)  # raises NotInG5Error for an invalid symbol
     return gens

@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .closure import generated_closure, normal_closure as _normal_closure
-from .closure import subgroup
+from .closure import DEFAULT_ELEMENT_CAP, UndecidedError, generated_closure
+from .closure import normal_closure as _normal_closure, subgroup
+from .golden_ring import factor
 
 Key = tuple[int, int, int, int]
 
@@ -60,6 +61,12 @@ class IntQuotient:
 def build_sl2_quotient(n: int) -> IntQuotient:
     if n < 1:
         raise ValueError("modulus must be positive")
+    order = n ** 3  # |SL(2, Z/n)| = n^3 prod over primes p | n of (1 - p^-2)
+    for p in factor(n):
+        order = order // (p * p) * (p * p - 1)
+    if order > DEFAULT_ELEMENT_CAP:  # the enumeration would not finish
+        raise UndecidedError(f"SL(2, Z/{n}) has {order} elements, above the "
+                             f"element cap of {DEFAULT_ELEMENT_CAP}")
     mult = _make_mult(n)
     ident = (1 % n, 0, 0, 1 % n)
     gens = [(1 % n, 1 % n, 0, 1 % n), (0, 1 % n, (-1) % n, 0)]

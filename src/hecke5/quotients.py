@@ -32,10 +32,6 @@ from .golden_ring import (
 )
 from .hecke_matrices import GMat, IDENTITY, ProjMat, S_MAT, T_MAT
 
-# The add and mul tables have ring_size**2 entries each: 1M at this cap,
-# the ring of mod 32.
-DEFAULT_RING_CAP = 1024
-
 Key = tuple[int, int, int, int]
 
 
@@ -85,6 +81,7 @@ class QuotientGroup:
     elements: frozenset[Key] | None  # None: ambient not enumerated (lazy)
     gen_S: Key
     gen_T: Key
+    element_cap: int = field(compare=False)  # bounds every closure in it
     _mult: object = field(repr=False, compare=False)
 
     @property
@@ -115,7 +112,7 @@ class QuotientGroup:
         return _signed(neg, t) if self.projective else t
 
     def element_order(self, x: Key) -> int:
-        return element_order(x, self.identity, self._mult)
+        return element_order(x, self.identity, self._mult, self.element_cap)
 
     def order_histogram(self) -> Counter:
         return Counter(self.element_order(x) for x in self.elements)
@@ -132,33 +129,40 @@ class SubgroupHandle:
         return len(self.members)
 
 
-def _ambient(modulus: Modulus, projective: bool, ring_cap: int) -> QuotientGroup:
-    if modulus.ring_size > ring_cap:
-        raise UndecidedError(
-            f"residue ring size {modulus.ring_size} exceeds cap {ring_cap}")
+def _ambient(modulus: Modulus, projective: bool, element_cap: int) -> QuotientGroup:
+    """The quotient's arithmetic, with no elements enumerated.
+
+    The residue tables are enumerated too, one entry at a time: `add` and
+    `mul` have ring_size**2 entries each, and count against the element cap.
+    """
+    if element_cap < 1:
+        raise ValueError(f"element cap must be at least 1, not {element_cap}")
+    entries = 2 * modulus.ring_size ** 2
+    if entries > element_cap:
+        raise UndecidedError(f"residue tables mod {modulus} need {entries} "
+                             f"entries, above the element cap of {element_cap}")
     mult = _make_mult(modulus, projective)
-    stub = QuotientGroup(modulus, projective, None, (), (), mult)
+    stub = QuotientGroup(modulus, projective, None, (), (), element_cap, mult)
     return replace(stub, gen_S=stub.key_of(S_MAT), gen_T=stub.key_of(T_MAT))
 
 
 def build_quotient(modulus: Modulus, projective: bool = True,
-                   ring_cap: int = DEFAULT_RING_CAP,
                    element_cap: int = DEFAULT_ELEMENT_CAP,
                    cache_dir: str | Path | None = None) -> QuotientGroup:
     """BFS closure of {S, T} mod `modulus`, memoised per process.
 
-    The memo is keyed by modulus, projectivity and both caps; `cache_dir`
+    The memo is keyed by modulus, projectivity and the cap; `cache_dir`
     only matters on a miss.  Then the quotient is read from the disk cache
     if its file loads, else built and (with `cache_dir` set) written there.
     A file that does not load (bad magic, truncated) counts as missing and
     is rewritten.  A memo hit touches no file.
     """
-    key = (modulus, projective, ring_cap, element_cap)
+    key = (modulus, projective, element_cap)
     q = _memo.pop(key, None)
     if q is None:
         path = (None if cache_dir is None
                 else Path(cache_dir) / _cache_name(modulus, projective))
-        q = _load_or_build(modulus, projective, ring_cap, element_cap, path)
+        q = _load_or_build(modulus, projective, element_cap, path)
     _memo[key] = q  # re-inserted last: the dict's order is least recent first
     if len(_memo) > _MEMO_SIZE:
         del _memo[next(iter(_memo))]
@@ -169,14 +173,14 @@ _MEMO_SIZE = 64
 _memo: dict[tuple, QuotientGroup] = {}
 
 
-def _load_or_build(modulus: Modulus, projective: bool, ring_cap: int,
-                   element_cap: int, path: Path | None) -> QuotientGroup:
+def _load_or_build(modulus: Modulus, projective: bool, element_cap: int,
+                   path: Path | None) -> QuotientGroup:
+    q = _ambient(modulus, projective, element_cap)
     if path is not None:
         try:
-            return _load_quotient(path, modulus, projective)
+            return _load_quotient(path, q)
         except (FileNotFoundError, ValueError, struct.error):
             pass  # no file, or one that does not load: a miss
-    q = _ambient(modulus, projective, ring_cap)
     elements = generated_closure(
         q.identity, _generator_actions(modulus, projective), element_cap)
     q = replace(q, elements=frozenset(elements))
@@ -189,9 +193,10 @@ def _load_or_build(modulus: Modulus, projective: bool, ring_cap: int,
 def residue_ambient(modulus: Modulus, projective: bool = True) -> QuotientGroup:
     """Ambient handle for closures at moduli too large to enumerate fully.
 
-    Raises UndecidedError when the residue ring exceeds DEFAULT_RING_CAP.
+    Its closures stop at DEFAULT_ELEMENT_CAP elements, and it raises
+    UndecidedError when its residue tables alone would pass that cap.
     """
-    return _ambient(modulus, projective, DEFAULT_RING_CAP)
+    return _ambient(modulus, projective, DEFAULT_ELEMENT_CAP)
 
 
 # Cache format v2: gen_S, gen_T, then the elements, 4 residue indices each.
@@ -224,7 +229,8 @@ def _save_quotient(q: QuotientGroup, path: Path) -> None:
         raise
 
 
-def _load_quotient(path: Path, modulus: Modulus, projective: bool) -> QuotientGroup:
+def _load_quotient(path: Path, q: QuotientGroup) -> QuotientGroup:
+    """The quotient in `path`, given the ambient `q` it was built from."""
     with open(path, "rb") as fh:
         if fh.read(4) != _CACHE_MAGIC:
             raise ValueError(f"bad quotient cache file {path}")
@@ -233,11 +239,10 @@ def _load_quotient(path: Path, modulus: Modulus, projective: bool) -> QuotientGr
         flat.frombytes(fh.read())
     if len(flat) != 4 * (count + 2):
         raise ValueError(f"truncated quotient cache file {path}")
-    if flat and max(flat) >= modulus.ring_size:
+    if flat and max(flat) >= q.modulus.ring_size:
         raise ValueError(f"residue index out of range in {path}")
     keys = list(zip(*[iter(flat)] * 4))
-    return QuotientGroup(modulus, projective, frozenset(keys[2:]),
-                         keys[0], keys[1], _make_mult(modulus, projective))
+    return replace(q, elements=frozenset(keys[2:]), gen_S=keys[0], gen_T=keys[1])
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +252,7 @@ def _load_quotient(path: Path, modulus: Modulus, projective: bool) -> QuotientGr
 def subgroup_closure(q: QuotientGroup, seeds) -> SubgroupHandle:
     """Smallest subgroup of q containing the seeds."""
     keys = tuple(_as_key(q, s) for s in seeds)
-    members = subgroup(q.identity, keys, q.mult)
+    members = subgroup(q.identity, keys, q.mult, q.element_cap)
     return SubgroupHandle(q, frozenset(members), keys)
 
 
@@ -255,7 +260,8 @@ def normal_closure(q: QuotientGroup, seeds) -> SubgroupHandle:
     """Smallest subgroup containing the seeds, closed under conjugation by S, T."""
     keys = tuple(_as_key(q, s) for s in seeds)
     conj = [(q.gen_S, q.inv_key(q.gen_S)), (q.gen_T, q.inv_key(q.gen_T))]
-    members = _normal_closure_engine(q.identity, keys, q.mult, conj)
+    members = _normal_closure_engine(q.identity, keys, q.mult, conj,
+                                     q.element_cap)
     return SubgroupHandle(q, frozenset(members), keys)
 
 
@@ -297,7 +303,7 @@ def check_elementary_abelian(h: SubgroupHandle, p: int) -> bool:
     q = h.parent
     gens = h.seeds if h.seeds else tuple(h.members)
     for g in gens:
-        if element_order(g, q.identity, q.mult) not in (1, p):
+        if q.element_order(g) not in (1, p):
             return False
     for i, g in enumerate(gens):
         for k in gens[i + 1:]:

@@ -6,7 +6,7 @@ in the terminal summary so a plain ``pytest -v`` run shows the scoreboard.
 
 import pytest
 
-from hecke5 import closure
+from hecke5 import closure, quotients
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -21,10 +21,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def low_element_cap(monkeypatch):
-    """Lower the default element cap of every closure to 20000, so an input
-    that runs into the cap gets there in a fraction of a second."""
-    cap = 20_000
+    """Lower the default element cap to 5000: that of the closure engine and
+    the one `residue_ambient` gives its quotients, so an input that runs into
+    the cap gets there in a fraction of a second.  The residue tables of mod
+    7 (2 * 49**2 = 4802 entries) still fit under it."""
+    cap = 5_000
     for fn in (closure.generated_closure, closure.subgroup,
                closure.normal_closure, closure.element_order):
         monkeypatch.setattr(fn, "__defaults__", (cap,))
+    monkeypatch.setattr(quotients, "DEFAULT_ELEMENT_CAP", cap)
     return cap

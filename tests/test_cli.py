@@ -76,11 +76,20 @@ class TestQuotient:
         assert "undecided" in err
 
     def test_ring_cap_is_undecided_at_once(self, capsys):
+        # the residue tables count against the element cap
         start = time.perf_counter()
         code, _, err = invoke(capsys, "quotient", "--mod", "33", "--no-cache")
         assert time.perf_counter() - start < 1
         assert code == 2
-        assert "undecided: residue ring size 1089 exceeds cap 1024" in err
+        assert err == ("undecided: residue tables mod 33 need 2371842 entries, "
+                       "above the element cap of 2000000\n")
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_is_input_error(self, capsys, cap):
+        code, out, err = invoke(capsys, "quotient", "--mod", "8",
+                                "--element-cap", cap, "--no-cache")
+        assert (code, out) == (1, "")
+        assert err == f"error: element cap must be at least 1, not {cap}\n"
 
 
 class TestClosure:
@@ -116,6 +125,21 @@ class TestClosure:
         rec = json.loads(out.strip().splitlines()[1])
         assert (rec["order"], rec["kernel_levels"]) == (order, levels)
 
+    def test_element_cap_bounds_normal_closure(self, capsys, low_element_cap):
+        # |Q(5)| = 7500, and T's normal closure is all of it
+        code, out, _ = invoke(capsys, "closure", "--mod", "5", "--seed", "T",
+                              "--element-cap", "10000", "--no-cache")
+        assert code == 0
+        assert "order 7500" in out
+
+    def test_ideal_gets_kernel_levels(self, capsys):
+        outs = [invoke(capsys, "closure", option, "4", "--seed", "T^2",
+                       "--format", "json", "--no-cache")[1].splitlines()[1]
+                for option in ("--mod", "--ideal")]
+        recs = [json.loads(out) for out in outs]
+        assert recs[1]["modulus"] == "(4)"
+        assert recs[1]["kernel_levels"] == recs[0]["kernel_levels"] == [2]
+
     def test_bad_seed_word(self, capsys):
         code, _, err = invoke(capsys, "closure", "--mod", "2",
                               "--seed", "T^", "--no-cache")
@@ -139,20 +163,26 @@ class TestVerify:
         # verify builds its quotients with the default caps and no disk cache
         with pytest.raises(SystemExit) as exc:
             invoke(capsys, "verify", "--lemma", "2.2", "--m", "7", "--p", "7",
-                   "--ring-cap", "5000")
+                   "--element-cap", "5000000")
         assert exc.value.code == 1
-        assert "unrecognized arguments: --ring-cap" in capsys.readouterr().err
+        assert "unrecognized arguments: --element-cap" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ("--lemma", "D1", "--p", "211"),  # |SL(2, 211)| is 9393720
-        ("--lemma", "2.2", "--m", "1", "--p", "31"),
-    ])
-    def test_element_cap_is_undecided(self, capsys, low_element_cap, argv):
-        code, out, err = invoke(capsys, "verify", *argv)
+    def test_element_cap_is_undecided(self, capsys, low_element_cap):
+        # the delta generators generate 58800 elements mod 7
+        code, out, err = invoke(capsys, "verify", "--lemma", "2.2",
+                                "--m", "1", "--p", "7")
         assert code == 2
         assert out == ""
         assert err == (f"undecided: closure reached the element cap of "
                        f"{low_element_cap}\n")
+
+    def test_known_order_is_undecided_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "verify", "--lemma", "D1", "--p", "211")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == ("undecided: SL(2, Z/211) has 9393720 elements, above "
+                       "the element cap of 2000000\n")
 
     def test_needs_a_selector(self, capsys):
         code, _, err = invoke(capsys, "verify")

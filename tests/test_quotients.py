@@ -53,18 +53,26 @@ class TestOrders:
         with pytest.raises(UndecidedError):
             build_quotient(Modulus.rational(10**9))
         with pytest.raises(UndecidedError):
-            build_quotient(Modulus.rational(33))  # ring 1089 > 1024
+            build_quotient(Modulus.rational(33))  # 2 * 1089**2 entries > 2M
         with pytest.raises(UndecidedError):
             residue_ambient(Modulus.rational(33))
+        # the add and mul tables mod 2 have 2 * 4**2 entries
+        with pytest.raises(UndecidedError, match="mod 2 need 32 entries, "
+                                                 "above the element cap of 31"):
+            build_quotient(Modulus.rational(2), element_cap=31)
+        assert build_quotient(Modulus.rational(2), element_cap=32).order == 10
+        with pytest.raises(ValueError, match="at least 1, not 0"):
+            build_quotient(Modulus.rational(2), element_cap=0)
 
     def test_one_undecided_error(self):
         assert closure.UndecidedError is UndecidedError
         assert congruence.UndecidedError is UndecidedError
 
     def test_subgroup_closure_is_capped(self, low_element_cap):
-        # the elementary generators at m = 1 generate far more than 2M
-        # elements mod 31; uncapped, this closure ran out of memory
-        amb = residue_ambient(Modulus.rational(31))
+        # the elementary generators at m = 1 generate 58800 elements mod 7
+        # (and far more than 2M mod 31, where uncapped this closure ran out
+        # of memory)
+        amb = residue_ambient(Modulus.rational(7))
         with pytest.raises(UndecidedError,
                            match=f"element cap of {low_element_cap}"):
             subgroup_closure(amb, elementary_generators(1))
@@ -183,7 +191,7 @@ def test_disk_cache_roundtrip(tmp_path, empty_memo):
     built = build_quotient(mod, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
     assert path.name == _cache_name(mod, True)
-    loaded = _load_quotient(path, mod, True)
+    loaded = _load_quotient(path, residue_ambient(mod))
     assert loaded.elements == built.elements
     assert loaded.gen_S == built.gen_S and loaded.gen_T == built.gen_T
     # a new memo reads the file instead of building
@@ -236,7 +244,7 @@ def test_disk_cache_bad_file_is_rebuilt(tmp_path, empty_memo, garbage):
     assert build_quotient(mod, cache_dir=tmp_path).order == 10240
     assert list(tmp_path.iterdir()) == [path]
     assert path.read_bytes() != garbage
-    assert _load_quotient(path, mod, True).order == 10240
+    assert _load_quotient(path, residue_ambient(mod)).order == 10240
     assert build_quotient(mod, cache_dir=tmp_path).order == 10240
 
 
