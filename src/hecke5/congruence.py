@@ -13,12 +13,11 @@ level is the least-norm ideal divisor (d) of (M) whose walk has no conflict.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import asdict, dataclass, fields
 from math import lcm
 
-from sympy.combinatorics.fp_groups import (
-    FpGroup, coset_enumeration_r, low_index_subgroups,
-)
+from sympy.combinatorics.fp_groups import FpGroup, low_index_subgroups
 from sympy.combinatorics.free_groups import free_group
 
 from . import __version__
@@ -83,28 +82,113 @@ def _walk(perm_s, perm_t, base: int = 0) -> dict[int, tuple[int, str] | None]:
     return edge
 
 
-def _to_presentation_word(w: Word):
-    """Rewrite a word in S, T as a word in s, u via T = s*u (s has order 2)."""
-    out = _F.identity
+# Coset enumeration over <s, u | s^2 = u^5 = 1> with columns s, s^-1, u, u^-1
+# numbered 0..3, so the inverse of column x is x ^ 1.
+_RELATORS = ([0, 0], [2] * 5)
+
+
+def _letters(w: Word) -> list[int]:
+    """`w` as a freely reduced list of columns, with T = s*u."""
+    out: list[int] = []
     for gen, exp in w.letters:
-        if gen == "S":
-            out = out * _s**exp
-        else:
-            out = out * (_s * _u) ** exp
+        unit = [0] if gen == "S" else [0, 2]
+        if exp < 0:
+            unit = [x ^ 1 for x in reversed(unit)]
+        for x in unit * abs(exp):
+            if out and out[-1] == x ^ 1:
+                out.pop()
+            else:
+                out.append(x)
     return out
 
 
 def coset_table(generators: list[Word], cap: int = DEFAULT_COSET_CAP) -> CosetTable:
-    if cap < 1:  # sympy reads a cap of 0 as no cap at all
+    """K's coset table by HLT enumeration (relator-based Todd-Coxeter; Holt,
+    Handbook of Computational Group Theory, 5.2), step for step as sympy's
+    HLT enumerator, which a test keeps as the oracle.
+
+    Raises UndecidedError when a definition would make the table, dead
+    cosets included, reach `cap` rows.  The live cosets are relabelled by
+    `_canonical` (S before T).
+    """
+    if cap < 1:
         raise ValueError(f"coset cap must be at least 1, not {cap}")
-    subgroup = [_to_presentation_word(w) for w in generators]
-    try:
-        table = coset_enumeration_r(_PRESENTATION, subgroup, max_cosets=cap)
-    except ValueError as exc:
-        raise UndecidedError(f"coset enumeration exceeded {cap} cosets") from exc
-    table.compress()
-    table.standardize()
-    return CosetTable(*_s_and_t(table.table))
+    table: list[list[int | None]] = [[None] * 4]
+    p = [0]  # p[a] == a iff coset a is live, else p[a] < a is a class-mate
+
+    def rep(a: int) -> int:
+        root = a
+        while p[root] != root:
+            root = p[root]
+        while p[a] != root:  # point the chain at its root
+            p[a], a = root, p[a]
+        return root
+
+    def merge(a: int, b: int, queue: deque) -> None:
+        a, b = rep(a), rep(b)
+        if a != b:
+            p[max(a, b)] = min(a, b)
+            queue.append(max(a, b))
+
+    def coincidence(a: int, b: int) -> None:
+        queue: deque = deque()
+        merge(a, b, queue)
+        while queue:
+            dead = queue.popleft()
+            for x in range(4):
+                d = table[dead][x]
+                if d is None:
+                    continue
+                table[d][x ^ 1] = None
+                mu, nu = rep(dead), rep(d)
+                if table[mu][x] is not None:
+                    merge(nu, table[mu][x], queue)
+                elif table[nu][x ^ 1] is not None:
+                    merge(mu, table[nu][x ^ 1], queue)
+                else:
+                    table[mu][x], table[nu][x ^ 1] = nu, mu
+
+    def define(a: int, x: int) -> None:
+        if len(table) >= cap:
+            raise UndecidedError(f"coset enumeration exceeded {cap} cosets")
+        beta = len(table)
+        table.append([None] * 4)
+        p.append(beta)
+        table[a][x], table[beta][x ^ 1] = beta, a
+
+    def scan_and_fill(a: int, w: list[int]) -> None:
+        f, b, i, j = a, a, 0, len(w) - 1
+        while True:
+            while i <= j and table[f][w[i]] is not None:
+                f, i = table[f][w[i]], i + 1
+            while j >= i and table[b][w[j] ^ 1] is not None:
+                b, j = table[b][w[j] ^ 1], j - 1
+            if j < i:  # the scan completes
+                if f != b:
+                    coincidence(f, b)
+                return
+            if j == i:  # a deduction completes it
+                table[f][w[i]], table[b][w[i] ^ 1] = b, f
+                return
+            define(f, w[i])
+
+    for w in generators:
+        scan_and_fill(0, _letters(w))
+    a = 0
+    while a < len(table):  # grows while it is walked
+        if p[a] == a:
+            for w in _RELATORS:
+                scan_and_fill(a, w)
+                if p[a] != a:  # a died in a coincidence
+                    break
+            else:
+                for x in range(4):
+                    if table[a][x] is None:
+                        define(a, x)
+        a += 1
+    perm_s = [row[0] for row in table]  # a dead row may have gaps: unread
+    perm_t = [None if x is None else table[x][2] for x in perm_s]
+    return CosetTable(*_canonical(perm_s, perm_t))
 
 
 def _s_and_t(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -270,16 +354,27 @@ def _block_count(t: CosetTable, pairs) -> int:
 
 
 def _ideal_divisors(n: int) -> list[GoldenInt]:
-    """All ideal divisors of (n) in Z[L], one canonical generator each."""
+    """All ideal divisors of (n) in Z[L], one generator each.
+
+    Each is a product over the prime powers p^k || n of p^c * g^e, with g a
+    prime over p: none for an inert p, e <= 1 for the ramified g (as
+    (g^2) = (5)) and e <= k - c for either of a split pair (as (g g') = (p)).
+    So no generator carries a unit factor, and a rational ideal has a
+    rational generator.
+    """
     divisors = [GoldenInt(1, 0)]
     for p, k in factor(n).items():
         cls = classify_rational_prime(p)
-        mult = 2 if cls.kind == "ramified" else 1  # (5) = (2+L)^2 up to a unit
-        for g in cls.factors:
-            powers = [GoldenInt(1, 0)]
-            for _ in range(k * mult):
-                powers.append(powers[-1] * g)
-            divisors = [d * q for d in divisors for q in powers]
+        most = {"inert": 0, "ramified": 1, "split": k}[cls.kind]
+        local = []
+        for c in range(k + 1):
+            local.append(GoldenInt(p**c, 0))
+            for g in cls.factors:
+                x = GoldenInt(p**c, 0)
+                for _ in range(min(most, k - c)):
+                    x = x * g
+                    local.append(x)
+        divisors = [d * q for d in divisors for q in local]
     return divisors
 
 

@@ -22,8 +22,8 @@ from pathlib import Path
 from typing import Callable
 
 from .closure import (
-    DEFAULT_ELEMENT_CAP, UndecidedError, element_order, generated_closure,
-    subgroup,
+    DEFAULT_ELEMENT_CAP, UndecidedError, _cap_reached, element_order,
+    generated_closure, subgroup,
 )
 from .closure import normal_closure as _normal_closure_engine
 from .golden_ring import (
@@ -230,11 +230,16 @@ def _save_quotient(q: QuotientGroup, path: Path) -> None:
 
 
 def _load_quotient(path: Path, q: QuotientGroup) -> QuotientGroup:
-    """The quotient in `path`, given the ambient `q` it was built from."""
+    """The quotient in `path`, given the ambient `q` it was built from.
+
+    Raises UndecidedError, as the build would, when the file holds more
+    elements than `q.element_cap`."""
     with open(path, "rb") as fh:
         if fh.read(4) != _CACHE_MAGIC:
             raise ValueError(f"bad quotient cache file {path}")
         (count,) = struct.unpack("<Q", fh.read(8))
+        if count > q.element_cap:
+            raise _cap_reached(q.element_cap)
         flat = array("I")
         flat.frombytes(fh.read())
     if len(flat) != 4 * (count + 2):

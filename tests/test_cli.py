@@ -244,6 +244,14 @@ class TestCongruence:
         assert "undecided: coset enumeration exceeded 5000 cosets" in err
         assert "--coset-cap" in err
 
+    def test_large_coset_cap_is_bounded(self, capsys):
+        start = time.perf_counter()
+        code, _, err = invoke(capsys, "congruence", "--gens", "S",
+                              "--coset-cap", "100000")
+        assert time.perf_counter() - start < 10
+        assert code == 2
+        assert "undecided: coset enumeration exceeded 100000 cosets" in err
+
     def test_coset_cap_option(self, capsys):
         code, _, err = invoke(capsys, "congruence", "--gens", "S",
                               "--coset-cap", "100")

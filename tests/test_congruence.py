@@ -3,9 +3,12 @@ from collections import Counter
 from functools import reduce
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from sympy.combinatorics.fp_groups import coset_enumeration_r
 
 from hecke5.congruence import (
-    CongruenceReport, CosetTable, UndecidedError, _conflicts, _ideal_divisors,
+    DEFAULT_COSET_CAP, _F, _PRESENTATION, CongruenceReport, CosetTable,
+    UndecidedError, _canonical, _conflicts, _ideal_divisors, _s, _s_and_t, _u,
     algebraic_level, coset_table, enumerate_index, geometric_level_from_table,
     is_congruence, is_normal_table, schreier_generators, wohlfahrt_modulus,
 )
@@ -46,7 +49,7 @@ class TestCosetTable:
     def test_infinite_index_hits_cap(self):
         with pytest.raises(UndecidedError):
             coset_table([parse_word("T")], cap=200)
-        # sympy would read a cap of 0 as no cap and never return
+        # a cap below 1 is an input error, not "no cap"
         with pytest.raises(ValueError):
             coset_table([parse_word("T")], cap=0)
 
@@ -55,6 +58,81 @@ class TestCosetTable:
             CosetTable((1, 2, 0), (0, 1, 2))  # S-action not an involution
         with pytest.raises(ValueError):
             CosetTable((0, 1), (0, 1))  # not transitive
+
+
+def sympy_table(words, cap):
+    """sympy's HLT enumeration of `words`, standardized as `coset_table`
+    standardizes, and the number of cosets it defined; (None, None) where it
+    stops at `cap`."""
+    subgroup = []
+    for w in words:
+        g = _F.identity
+        for gen, exp in w.letters:
+            g = g * (_s**exp if gen == "S" else (_s * _u)**exp)
+        subgroup.append(g)
+    try:
+        table = coset_enumeration_r(_PRESENTATION, subgroup, max_cosets=cap)
+    except ValueError:
+        return None, None
+    defined = len(table.table)
+    table.compress()
+    return CosetTable(*_canonical(*_s_and_t(table.table))), defined
+
+
+def table_or_none(words, cap):
+    try:
+        return coset_table(words, cap)
+    except UndecidedError:
+        return None
+
+
+def assert_agrees_with_sympy(words, cap):
+    """Same table as sympy at `cap`, or both stop there.  Where sympy ends
+    after defining n cosets, both also end at cap n and stop at n - 1, so
+    the same cap decides."""
+    expected, defined = sympy_table(words, cap)
+    assert table_or_none(words, cap) == expected
+    if defined is not None:
+        assert table_or_none(words, defined) == expected
+        assert defined == 1 or table_or_none(words, defined - 1) is None
+
+
+short_word_sets = st.lists(
+    st.lists(st.tuples(st.sampled_from("ST"),
+                       st.integers(-4, 4).filter(bool)),
+             min_size=1, max_size=8).map(word),
+    min_size=1, max_size=5)
+
+
+class TestEnumeratorOracle:
+    """`coset_table` against sympy's `coset_enumeration_r`, which stays in
+    the tests only, as an independent oracle."""
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_examples(self, name):
+        assert_agrees_with_sympy(hfs_words(name), DEFAULT_COSET_CAP)
+
+    def test_census_schreier_generators(self):
+        for n in (5, 6):
+            for t in enumerate_index(n):
+                assert_agrees_with_sympy(schreier_generators(t),
+                                         DEFAULT_COSET_CAP)
+
+    @pytest.mark.parametrize("text", ["S", "T^4"])
+    @pytest.mark.parametrize("cap", [100, 2000, 5000])
+    def test_infinite_index(self, text, cap):
+        assert_agrees_with_sympy([parse_word(text)], cap)
+
+    @given(short_word_sets)
+    @settings(max_examples=100, deadline=None)
+    # index 2 after 18 definitions: coincidences kill 16 cosets
+    @example([parse_word("S^3 T^2 S^3"), parse_word("S T^-5")])
+    # index 1 after 96 definitions, 97 if u^5 is scanned before s^2
+    @example([parse_word(w) for w in ["T^3 S^-3 T^2", "T^4 S^-3 T^4 S^-4 T^7",
+                                      "S^4 T^-2 S^3 T^-2 S^3",
+                                      "T^-3 S^4 T S^3 T^6 S^-2"]])
+    def test_random_word_sets(self, words):
+        assert_agrees_with_sympy(words, 200)
 
 
 @pytest.mark.parametrize("m,expected", [
@@ -205,6 +283,22 @@ def intersection_table(a, b):
                 pairs.append(y)
             perm.append(ids[y])
     return CosetTable(tuple(perms[0]), tuple(perms[1]))
+
+
+# 40 = 2^3 * 5 (inert, ramified), 55 = 5 * 11, 99 = 3^2 * 11, 121 = 11^2
+# (11 splits): (k+1), (2k+1) and (k+1)^2 divisors per inert, ramified and
+# split p^k
+@pytest.mark.parametrize("n,count", [(40, 12), (55, 12), (99, 12), (121, 9)])
+def test_divisors_carry_no_unit_factor(n, count):
+    """Each ideal divisor of (n) once, and the rational ones spelled as
+    rational integers: equal to their `Modulus.rational`, so they share its
+    residue tables, memo entry and cache file."""
+    mods = [Modulus.ideal(d) for d in _ideal_divisors(n)]
+    assert len({(m.d1, m.c, m.d2) for m in mods}) == len(mods) == count
+    rational = [m for m in mods if m.c == 0 and m.d1 == m.d2]
+    assert all(m == Modulus.rational(m.d1) for m in rational)
+    assert sorted(m.d1 for m in rational) == [
+        d for d in range(1, n + 1) if n % d == 0]
 
 
 class TestAlgebraicLevel:

@@ -224,6 +224,18 @@ def test_rational_and_ideal_share_one_quotient(tmp_path, empty_memo):
     assert len(list(tmp_path.iterdir())) == 1
 
 
+def test_cached_quotient_obeys_element_cap(tmp_path, empty_memo):
+    """A cache hit answers as the build does: undecided above the cap."""
+    mod = Modulus.rational(8)  # order 10240
+    build_quotient(mod, cache_dir=tmp_path)
+    for cache_dir in (None, tmp_path):
+        with pytest.raises(UndecidedError,
+                           match="closure reached the element cap of 9000"):
+            build_quotient(mod, element_cap=9000, cache_dir=cache_dir)
+    assert build_quotient(mod, element_cap=10240,
+                          cache_dir=tmp_path).order == 10240
+
+
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_disk_cache_file_mode_follows_umask(tmp_path, empty_memo, umask, mode):
     old = os.umask(umask)
