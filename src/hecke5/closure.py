@@ -1,12 +1,12 @@
 """Closures over a finite group given by hashable keys.
 
 Both the Hecke-quotient and the modular-oracle backends drive the same
-routines: `generated_closure` is the breadth-first orbit of the identity
-under right actions (the ambient group from its generators), and
-`subgroup` and `normal_closure` build a subgroup one generator at a time
-by Dimino's algorithm.  A backend provides `mult`, an identity key, and
-(for normal closures) the designated conjugating generators with their
-inverses.
+routines: `subgroup` and `normal_closure` build a subgroup one generator at
+a time by Dimino's algorithm.  A backend provides `mult`, an identity key,
+and (for normal closures) the designated conjugating generators with their
+inverses.  `generated_closure`, the breadth-first orbit of the identity
+under right actions, builds the ambient group for the modular oracle; the
+tests check the Hecke quotients' row orbit x stabilizer build against it.
 """
 
 from __future__ import annotations

@@ -194,12 +194,14 @@ class Modulus:
     """A rational integer n or an ideal (g), with the HNF lattice basis.
 
     The reduction lattice is {x*g : x in Z[L]} in (a, b) coordinates, with
-    basis vectors (d1, 0) and (c, d2), 0 <= c < d1.  Rational(n) and
-    Ideal(n) are equal: `kind` only decides how `str()` prints them.
+    basis vectors (d1, 0) and (c, d2), 0 <= c < d1.  Moduli are equal when
+    their HNFs are, so Rational(n), Ideal(n) and Ideal(u*n) for a unit u
+    are one modulus: `kind` and `generator` only decide how `str()` prints
+    it.
     """
 
     kind: str = field(compare=False)  # "rational" | "ideal"
-    generator: GoldenInt
+    generator: GoldenInt = field(compare=False)
     d1: int
     c: int
     d2: int

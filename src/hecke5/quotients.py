@@ -1,10 +1,12 @@
 """Finite quotients of the Hecke group by principal congruence subgroups.
 
-A quotient is materialised as the BFS closure of the images of S and T in
-the ring of 2x2 residue matrices mod a `Modulus`, either homogeneously or
-with +-I identified.  Elements are 4-tuples of residue indices (one per
-entry, see `RingTables`), so they hash cheaply, compare like the entries'
-canonical (a, b) pairs, and multiply by table lookups.
+A quotient is the group generated by the images of S and T in the ring of
+2x2 residue matrices mod a `Modulus`, either homogeneously or with +-I
+identified.  It is materialised as row orbit x stabilizer: one element for
+each first row in the orbit of (1, 0), times the lower unitriangular
+matrices that fix that row.  Elements are 4-tuples of residue indices (one
+per entry, see `RingTables`), so they hash cheaply, compare like the
+entries' canonical (a, b) pairs, and multiply by table lookups.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from pathlib import Path
 from typing import Callable
 
 from .closure import (
-    DEFAULT_ELEMENT_CAP, UndecidedError, _cap_reached, element_order,
-    generated_closure, subgroup,
+    DEFAULT_ELEMENT_CAP, UndecidedError, _cap_reached, element_order, subgroup,
 )
 from .closure import normal_closure as _normal_closure_engine
 from .golden_ring import (
@@ -149,13 +150,16 @@ def _ambient(modulus: Modulus, projective: bool, element_cap: int) -> QuotientGr
 def build_quotient(modulus: Modulus, projective: bool = True,
                    element_cap: int = DEFAULT_ELEMENT_CAP,
                    cache_dir: str | Path | None = None) -> QuotientGroup:
-    """BFS closure of {S, T} mod `modulus`, memoised per process.
+    """The image of {S, T} mod `modulus`, built as row orbit x stabilizer
+    (see `_row_orbit`) and memoised per process.
 
     The memo is keyed by modulus, projectivity and the cap; `cache_dir`
     only matters on a miss.  Then the quotient is read from the disk cache
     if its file loads, else built and (with `cache_dir` set) written there.
     A file that does not load (bad magic, truncated) counts as missing and
-    is rewritten.  A memo hit touches no file.
+    is rewritten.  A memo hit touches no file.  The memo drops its least
+    recently used quotients while they hold more than DEFAULT_ELEMENT_CAP
+    elements in all; the newest one always stays.
     """
     key = (modulus, projective, element_cap)
     q = _memo.pop(key, None)
@@ -164,12 +168,12 @@ def build_quotient(modulus: Modulus, projective: bool = True,
                 else Path(cache_dir) / _cache_name(modulus, projective))
         q = _load_or_build(modulus, projective, element_cap, path)
     _memo[key] = q  # re-inserted last: the dict's order is least recent first
-    if len(_memo) > _MEMO_SIZE:
-        del _memo[next(iter(_memo))]
+    held = sum(x.order for x in _memo.values())
+    while held > DEFAULT_ELEMENT_CAP and len(_memo) > 1:
+        held -= _memo.pop(next(iter(_memo))).order
     return q
 
 
-_MEMO_SIZE = 64
 _memo: dict[tuple, QuotientGroup] = {}
 
 
@@ -181,13 +185,68 @@ def _load_or_build(modulus: Modulus, projective: bool, element_cap: int,
             return _load_quotient(path, q)
         except (FileNotFoundError, ValueError, struct.error):
             pass  # no file, or one that does not load: a miss
-    elements = generated_closure(
-        q.identity, _generator_actions(modulus, projective), element_cap)
-    q = replace(q, elements=frozenset(elements))
+    reps, shifts = _row_orbit(modulus, projective)
+    if len(reps) * len(shifts) > element_cap:
+        raise _cap_reached(element_cap)
+    r = ring_tables(modulus)
+    add, mul = r.add, r.mul
+    # (1 0; u 1) (a b; c d) = (a b; ua+c ub+d), already `_signed` when
+    # projective (see `_row_orbit`)
+    q = replace(q, elements=frozenset(
+        (a, b, add[c][mul[u][a]], add[d][mul[u][b]])
+        for a, b, c, d in reps for u in shifts))
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         _save_quotient(q, path)
     return q
+
+
+def _row_orbit(modulus: Modulus,
+               projective: bool) -> tuple[list[Key], list[int]]:
+    """Orbit-stabilizer for the first row (Holt, Eick, O'Brien, Handbook of
+    Computational Group Theory, 4.1).
+
+    The homogeneous image Q of {S, T} acts on first rows by right
+    multiplication; the elements fixing (1, 0) are the (1 0; u 1), which
+    multiply by adding their u's.  Returns a list `reps` with one element
+    of Q for each row in the orbit of (1, 0), and the additive group U of
+    those u's.  Q is the disjoint union of the cosets (1 0; u 1) t, u in U,
+    over t in `reps`, so |Q| = len(reps) * len(U).  U is spanned by the
+    Schreier generators t g t'^-1, one for each t in `reps` and generator
+    g such that t g has the row of a t' found before.
+
+    Projective: the actions return `_signed` keys, so the walk is over
+    +-rows, and each rep is the one of +-t with the smaller row (S^2 = -I
+    is in Q, so both are).  Each (1 0; u 1) t keeps that row, so its key is
+    already `_signed`: a row equal to its negation has 2a = 2b = 0, and for
+    a unimodular (a, b) that means 2 = 0, where every key is its own
+    negation.
+    """
+    r = ring_tables(modulus)
+    add, mul, neg = r.add, r.mul, r.neg
+    zero, one = r.index(0, 0), r.index(1, 0)
+    identity = (one, zero, zero, one)
+    reps = [identity]
+    by_row = {(one, zero): identity}
+    gens = set()
+    actions = _generator_actions(modulus, projective)
+    for t in reps:  # grows while it is walked: breadth first
+        for act in actions:
+            y = act(t)
+            rep = by_row.setdefault(y[:2], y)
+            if rep is y:
+                reps.append(y)
+            else:  # y (a b; c' d')^-1 = (1 0; u 1) with u = c d' - d c'
+                gens.add(add[mul[y[2]][rep[3]]][neg[mul[y[3]][rep[2]]]])
+    shifts = [zero]
+    span = {zero}
+    for u in shifts:  # also grows while it is walked
+        for g in gens:
+            v = add[u][g]
+            if v not in span:
+                span.add(v)
+                shifts.append(v)
+    return reps, shifts
 
 
 def residue_ambient(modulus: Modulus, projective: bool = True) -> QuotientGroup:
@@ -204,8 +263,9 @@ _CACHE_MAGIC = b"HQC2"
 
 
 def _cache_name(modulus: Modulus, projective: bool) -> str:
-    # no `kind`: equal moduli share one file, as they share one memo entry
-    tag = f"v2|{modulus.generator.a},{modulus.generator.b}|{int(projective)}"
+    # the ideal's HNF, not its generator or `kind`: equal moduli share one
+    # file, as they share one memo entry
+    tag = f"v2|{modulus.d1},{modulus.c},{modulus.d2}|{int(projective)}"
     return hashlib.sha256(tag.encode()).hexdigest()[:20] + ".quot"
 
 

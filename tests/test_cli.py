@@ -84,6 +84,14 @@ class TestQuotient:
         assert err == ("undecided: residue tables mod 33 need 2371842 entries, "
                        "above the element cap of 2000000\n")
 
+    def test_order_above_cap_is_undecided_at_once(self, capsys):
+        # order 361 * (361**2 - 1) / 2, known before any element is built
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "quotient", "--mod", "19", "--no-cache")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "undecided: closure reached the element cap of 2000000\n"
+
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_cap_below_one_is_input_error(self, capsys, cap):
         code, out, err = invoke(capsys, "quotient", "--mod", "8",

@@ -15,9 +15,9 @@ from hecke5.hecke_matrices import (
 )
 from hecke5 import closure, congruence, quotients
 from hecke5.quotients import (
-    UndecidedError, _cache_name, _load_quotient, build_quotient, check_elementary_abelian,
-    kernel_subgroup, normal_closure, residue_ambient, sl2_enumeration_order,
-    sl_index_formula, subgroup_closure,
+    UndecidedError, _cache_name, _generator_actions, _load_quotient, _row_orbit,
+    build_quotient, check_elementary_abelian, kernel_subgroup, normal_closure,
+    residue_ambient, sl2_enumeration_order, sl_index_formula, subgroup_closure,
 )
 
 
@@ -76,6 +76,38 @@ class TestOrders:
         with pytest.raises(UndecidedError,
                            match=f"element cap of {low_element_cap}"):
             subgroup_closure(amb, elementary_generators(1))
+
+
+# Rational 1-12 but 11 (order 871200; 13 is above the element cap) and the
+# ideals (a+b*L) below, not (7+2*L) (order 205320 homogeneous): every
+# quotient of order up to 150000, so the BFS takes a few tenths of a second.
+ORACLE_MODULI = [Modulus.rational(n) for n in (*range(1, 11), 12)] + [
+    Modulus.ideal(GoldenInt(a, b)) for a, b in
+    [(2, 1), (3, 1), (1, -3), (4, 2), (3, 2), (5, 2), (6, 3), (4, 1), (0, 3)]]
+
+
+@pytest.mark.parametrize("projective", [True, False])
+@pytest.mark.parametrize("mod", ORACLE_MODULI, ids=str)
+def test_build_matches_bfs(mod, projective):
+    """Row orbit x stabilizer against the BFS orbit of the identity."""
+    group = build_quotient(mod, projective)
+    reps, shifts = _row_orbit(mod, projective)
+    bfs = generated_closure(group.identity, _generator_actions(mod, projective))
+    assert group.elements == bfs
+    assert {group.gen_S, group.gen_T} <= group.elements
+    assert group.order == len(reps) * len(shifts)
+
+
+@pytest.mark.parametrize("projective", [True, False])
+@pytest.mark.parametrize("mod", [Modulus.rational(8), Modulus.ideal(RAMIFIED_PRIME),
+                                 Modulus.ideal(GoldenInt(5, 2))], ids=str)
+def test_element_cap_boundary(mod, projective):
+    """Undecided exactly when the order passes the cap, as the BFS was."""
+    order = build_quotient(mod, projective).order
+    assert build_quotient(mod, projective, element_cap=order).order == order
+    with pytest.raises(UndecidedError,
+                       match=f"closure reached the element cap of {order - 1}$"):
+        build_quotient(mod, projective, element_cap=order - 1)
 
 
 class TestLagrange:
@@ -222,6 +254,31 @@ def test_rational_and_ideal_share_one_quotient(tmp_path, empty_memo):
     quotients._memo.clear()
     build_quotient(ideal, cache_dir=tmp_path)
     assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_associates_share_one_quotient(tmp_path, empty_memo):
+    """(5+5*L) = (5 L^2) is the modulus 5: one memo entry, one cache file."""
+    ideal, rational = Modulus.ideal(GoldenInt(5, 5)), Modulus.rational(5)
+    assert ideal == rational and hash(ideal) == hash(rational)
+    assert (str(ideal), str(rational)) == ("(5+5*L)", "5")
+    assert build_quotient(ideal, cache_dir=tmp_path) is build_quotient(
+        rational, cache_dir=tmp_path)
+    assert len(quotients._memo) == 1
+    quotients._memo.clear()
+    assert build_quotient(rational, cache_dir=tmp_path).order == 7500
+    assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_memo_holds_at_most_the_element_cap(empty_memo, low_element_cap):
+    """Least recently used quotients go while the memo holds more than
+    the default cap (here 5000) of elements; the newest always stays."""
+    assert q(6).order + q(6, False).order + q(4).order == 600 + 1200 + 160
+    q(6, False)  # now the least recently used is Q(6)
+    assert q(GoldenInt(4, 1)).order == 3420  # 5380 in all: Q(6) goes
+    assert [(str(m), p) for m, p, _ in quotients._memo] == [
+        ("4", True), ("6", False), ("(4+L)", True)]
+    assert q(8).order == 10240  # above the cap alone
+    assert [(str(m), p) for m, p, _ in quotients._memo] == [("8", True)]
 
 
 def test_cached_quotient_obeys_element_cap(tmp_path, empty_memo):
