@@ -13,8 +13,6 @@ import json
 import os
 import sys
 
-from sympy import divisors
-
 from . import __version__
 from .closure import DEFAULT_ELEMENT_CAP, UndecidedError
 from .golden_ring import Modulus, parse_golden
@@ -101,7 +99,7 @@ def cmd_closure(args) -> int:
     matches = []
     if mod.c == 0 and mod.d1 == mod.d2:  # (M) = (n) for a rational n
         n = mod.d1
-        for d in divisors(n):
+        for d in [k for k in range(1, n + 1) if n % k == 0]:
             level = Modulus.rational(d)
             if not all(map(kernel_predicate(q, level), h.members)):
                 continue

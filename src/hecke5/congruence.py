@@ -21,10 +21,10 @@ from sympy.combinatorics.fp_groups import FpGroup, low_index_subgroups
 from sympy.combinatorics.free_groups import free_group
 
 from . import __version__
-from .closure import UndecidedError
+from .closure import DEFAULT_ELEMENT_CAP, UndecidedError
 from .golden_ring import GoldenInt, Modulus, classify_rational_prime, factor
 from .hecke_matrices import Word, word
-from .quotients import _generator_actions, build_quotient, residue_ambient
+from .quotients import _ambient, _generator_actions, build_quotient
 
 DEFAULT_COSET_CAP = 5_000
 
@@ -304,7 +304,7 @@ def _conflicts(t: CosetTable, d: Modulus):
     K*g*w = K*w iff g is in K.  Each edge off the walk's spanning tree is a
     Schreier generator of G(d), so checking every edge is complete.
     """
-    ambient = residue_ambient(d)  # raises if its tables pass the element cap
+    ambient = _ambient(d, True, DEFAULT_ELEMENT_CAP)  # unmemoised
     cap, identity = ambient.element_cap, ambient.identity
     actions = list(zip(_generator_actions(d, True), (t.perm_s, t.perm_t)))
     label = {identity: 0}

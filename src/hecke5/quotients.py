@@ -2,10 +2,10 @@
 
 A quotient is the group generated by the images of S and T in the ring of
 2x2 residue matrices mod a `Modulus`, either homogeneously or with +-I
-identified.  It is materialised as row orbit x stabilizer: one element for
-each first row in the orbit of (1, 0), times the lower unitriangular
-matrices that fix that row.  Elements are 4-tuples of residue indices (one
-per entry, see `RingTables`), so they hash cheaply, compare like the
+identified.  Its order is row orbit x stabilizer: the orbit of (1, 0) times
+the lower unitriangular matrices that fix that row.  Its elements, built
+from the same two lists on first use only, are 4-tuples of residue indices
+(one per entry, see `RingTables`): they hash cheaply, compare like the
 entries' canonical (a, b) pairs, and multiply by table lookups.
 """
 
@@ -17,8 +17,9 @@ import struct
 import tempfile
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Callable
@@ -77,19 +78,42 @@ def _generator_actions(modulus: Modulus,
 
 @dataclass(frozen=True)
 class QuotientGroup:
+    """Q(modulus): its arithmetic at once, its order from the row orbit
+    (see `_row_orbit`, walked once) and its elements on first use."""
+
     modulus: Modulus
     projective: bool
-    elements: frozenset[Key] | None  # None: ambient not enumerated (lazy)
-    gen_S: Key
-    gen_T: Key
     element_cap: int = field(compare=False)  # bounds every closure in it
     _mult: object = field(repr=False, compare=False)
 
+    @cached_property
+    def _orbit(self) -> tuple[list[Key], list[int]]:
+        return _row_orbit(self.modulus, self.projective)
+
     @property
     def order(self) -> int:
-        if self.elements is None:
-            raise ValueError("ambient group was not enumerated")
-        return len(self.elements)
+        return len(self._orbit[0]) * len(self._orbit[1])
+
+    @cached_property
+    def elements(self) -> frozenset[Key]:
+        """Undecided, before any element is built, above the element cap."""
+        if self.order > self.element_cap:
+            raise _cap_reached(self.element_cap)
+        reps, shifts = self._orbit
+        r = ring_tables(self.modulus)
+        add, mul = r.add, r.mul
+        # (1 0; u 1) (a b; c d) = (a b; ua+c ub+d), already `_signed` when
+        # projective (see `_row_orbit`)
+        return frozenset((a, b, add[c][mul[u][a]], add[d][mul[u][b]])
+                         for a, b, c, d in reps for u in shifts)
+
+    @property
+    def gen_S(self) -> Key:
+        return self.key_of(S_MAT)
+
+    @property
+    def gen_T(self) -> Key:
+        return self.key_of(T_MAT)
 
     @property
     def identity(self) -> Key:
@@ -131,74 +155,55 @@ class SubgroupHandle:
 
 
 def _ambient(modulus: Modulus, projective: bool, element_cap: int) -> QuotientGroup:
-    """The quotient's arithmetic, with no elements enumerated.
-
-    The residue tables are enumerated too, one entry at a time: `add` and
-    `mul` have ring_size**2 entries each, and count against the element cap.
-    """
+    """The quotient's handle, unmemoised, with only the residue tables
+    enumerated: `add` and `mul` have ring_size**2 entries each, built one
+    at a time, and they count against the element cap."""
     if element_cap < 1:
         raise ValueError(f"element cap must be at least 1, not {element_cap}")
     entries = 2 * modulus.ring_size ** 2
     if entries > element_cap:
         raise UndecidedError(f"residue tables mod {modulus} need {entries} "
                              f"entries, above the element cap of {element_cap}")
-    mult = _make_mult(modulus, projective)
-    stub = QuotientGroup(modulus, projective, None, (), (), element_cap, mult)
-    return replace(stub, gen_S=stub.key_of(S_MAT), gen_T=stub.key_of(T_MAT))
+    return QuotientGroup(modulus, projective, element_cap,
+                         _make_mult(modulus, projective))
 
 
 def build_quotient(modulus: Modulus, projective: bool = True,
                    element_cap: int = DEFAULT_ELEMENT_CAP,
                    cache_dir: str | Path | None = None) -> QuotientGroup:
-    """The image of {S, T} mod `modulus`, built as row orbit x stabilizer
-    (see `_row_orbit`) and memoised per process.
+    """The image of {S, T} mod `modulus`, memoised per process.
 
     The memo is keyed by modulus, projectivity and the cap; `cache_dir`
-    only matters on a miss.  Then the quotient is read from the disk cache
-    if its file loads, else built and (with `cache_dir` set) written there.
-    A file that does not load (bad magic, truncated) counts as missing and
-    is rewritten.  A memo hit touches no file.  The memo drops its least
-    recently used quotients while they hold more than DEFAULT_ELEMENT_CAP
+    only matters on a miss.  Then the elements are read from the disk cache
+    if its file loads, else built and written there.  A file that does not
+    load (bad magic, truncated) counts as missing and is rewritten.  A memo
+    hit touches no file.  At each call the memo drops its least recently
+    used quotients while they hold more than DEFAULT_ELEMENT_CAP built
     elements in all; the newest one always stays.
     """
     key = (modulus, projective, element_cap)
     q = _memo.pop(key, None)
     if q is None:
-        path = (None if cache_dir is None
-                else Path(cache_dir) / _cache_name(modulus, projective))
-        q = _load_or_build(modulus, projective, element_cap, path)
+        q = _ambient(modulus, projective, element_cap)
+        if cache_dir is not None:
+            path = Path(cache_dir) / _cache_name(modulus, projective)
+            try:
+                _load_quotient(path, q)
+            except (FileNotFoundError, ValueError, struct.error):
+                _save_quotient(q, path)  # no file, or one that does not load
     _memo[key] = q  # re-inserted last: the dict's order is least recent first
-    held = sum(x.order for x in _memo.values())
+    held = sum(map(_built, _memo.values()))
     while held > DEFAULT_ELEMENT_CAP and len(_memo) > 1:
-        held -= _memo.pop(next(iter(_memo))).order
+        held -= _built(_memo.pop(next(iter(_memo))))
     return q
 
 
 _memo: dict[tuple, QuotientGroup] = {}
 
 
-def _load_or_build(modulus: Modulus, projective: bool, element_cap: int,
-                   path: Path | None) -> QuotientGroup:
-    q = _ambient(modulus, projective, element_cap)
-    if path is not None:
-        try:
-            return _load_quotient(path, q)
-        except (FileNotFoundError, ValueError, struct.error):
-            pass  # no file, or one that does not load: a miss
-    reps, shifts = _row_orbit(modulus, projective)
-    if len(reps) * len(shifts) > element_cap:
-        raise _cap_reached(element_cap)
-    r = ring_tables(modulus)
-    add, mul = r.add, r.mul
-    # (1 0; u 1) (a b; c d) = (a b; ua+c ub+d), already `_signed` when
-    # projective (see `_row_orbit`)
-    q = replace(q, elements=frozenset(
-        (a, b, add[c][mul[u][a]], add[d][mul[u][b]])
-        for a, b, c, d in reps for u in shifts))
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _save_quotient(q, path)
-    return q
+def _built(q: QuotientGroup) -> int:
+    """How many elements q holds: none until `elements` is first read."""
+    return len(vars(q).get("elements", ()))
 
 
 def _row_orbit(modulus: Modulus,
@@ -249,15 +254,6 @@ def _row_orbit(modulus: Modulus,
     return reps, shifts
 
 
-def residue_ambient(modulus: Modulus, projective: bool = True) -> QuotientGroup:
-    """Ambient handle for closures at moduli too large to enumerate fully.
-
-    Its closures stop at DEFAULT_ELEMENT_CAP elements, and it raises
-    UndecidedError when its residue tables alone would pass that cap.
-    """
-    return _ambient(modulus, projective, DEFAULT_ELEMENT_CAP)
-
-
 # Cache format v2: gen_S, gen_T, then the elements, 4 residue indices each.
 _CACHE_MAGIC = b"HQC2"
 
@@ -275,11 +271,12 @@ def _save_quotient(q: QuotientGroup, path: Path) -> None:
     flat = array("I", chain(q.gen_S, q.gen_T, chain.from_iterable(q.elements)))
     umask = os.umask(0)  # reading the umask means setting it
     os.umask(umask)
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(_CACHE_MAGIC)
-            fh.write(struct.pack("<Q", q.order))
+            fh.write(struct.pack("<Q", len(q.elements)))
             fh.write(flat.tobytes())
         # mkstemp makes the file 0600; give it the mode open() would
         os.chmod(tmp, 0o666 & ~umask)
@@ -289,8 +286,8 @@ def _save_quotient(q: QuotientGroup, path: Path) -> None:
         raise
 
 
-def _load_quotient(path: Path, q: QuotientGroup) -> QuotientGroup:
-    """The quotient in `path`, given the ambient `q` it was built from.
+def _load_quotient(path: Path, q: QuotientGroup) -> None:
+    """Set q's elements from `path` as reading them would; skip its gens.
 
     Raises UndecidedError, as the build would, when the file holds more
     elements than `q.element_cap`."""
@@ -306,8 +303,7 @@ def _load_quotient(path: Path, q: QuotientGroup) -> QuotientGroup:
         raise ValueError(f"truncated quotient cache file {path}")
     if flat and max(flat) >= q.modulus.ring_size:
         raise ValueError(f"residue index out of range in {path}")
-    keys = list(zip(*[iter(flat)] * 4))
-    return replace(q, elements=frozenset(keys[2:]), gen_S=keys[0], gen_T=keys[1])
+    vars(q)["elements"] = frozenset(zip(*[iter(flat[8:])] * 4))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .hecke_matrices import (
 )
 from .quotients import (
     build_quotient, check_elementary_abelian, kernel_subgroup,
-    normal_closure, residue_ambient, sl2_enumeration_order, sl_index_formula,
+    normal_closure, sl2_enumeration_order, sl_index_formula,
     subgroup_closure,
 )
 
@@ -55,7 +55,7 @@ def check_index_formula(a: str) -> CheckResult:
 
 def check_delta_grid(m: int, p: int) -> CheckResult:
     """Six translation-conjugate generators mod mp: elementary abelian p^6."""
-    amb = residue_ambient(Modulus.rational(m * p), projective=True)
+    amb = build_quotient(Modulus.rational(m * p), projective=True)
     if any(q % 2 for q in factor(m)):  # m has an odd prime factor
         gens = delta_m(m)
     else:
@@ -68,7 +68,7 @@ def check_delta_grid(m: int, p: int) -> CheckResult:
 
 def check_delta_residues(m: int, p: int) -> CheckResult:
     """The group-element realization hits the prescribed residues mod mp."""
-    amb = residue_ambient(Modulus.rational(m * p), projective=True)
+    amb = build_quotient(Modulus.rational(m * p), projective=True)
     words = delta_m_words(m)
     got = {amb.key_of(eval_word(w)) for w in words}
     want = {amb.key_of(g) for g in elementary_generators(m)}
@@ -147,7 +147,7 @@ def check_translation_collapse(m: int) -> CheckResult:
     """Five-word generator family: order 2^4 mod 4 (m=1), 2^5 mod 4m (odd m>1)."""
     if m % 2 == 0:
         raise ValueError("m must be odd")
-    amb = residue_ambient(Modulus.rational(4 * m), projective=True)
+    amb = build_quotient(Modulus.rational(4 * m), projective=True)
     h = subgroup_closure(amb, appendix_b_set(m))
     expected = 16 if m == 1 else 32
     return _result("translation-collapse", {"m": m}, h.order == expected,
@@ -158,7 +158,7 @@ def check_translation_collapse_4(m: int) -> CheckResult:
     """Six-word generator family for 4 | m: order 2^6 mod 4m."""
     if m % 4:
         raise ValueError("m must be a multiple of 4")
-    amb = residue_ambient(Modulus.rational(4 * m), projective=True)
+    amb = build_quotient(Modulus.rational(4 * m), projective=True)
     h = subgroup_closure(amb, appendix_c_set(m))
     return _result("translation-collapse-4", {"m": m}, h.order == 64,
                    f"order {h.order}, expected 64")

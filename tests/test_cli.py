@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from hecke5 import cli, congruence
+from hecke5 import cli, congruence, quotients
 from hecke5.cli import main
 from hecke5.congruence import CongruenceReport
 
@@ -85,12 +85,18 @@ class TestQuotient:
                        "above the element cap of 2000000\n")
 
     def test_order_above_cap_is_undecided_at_once(self, capsys):
-        # order 361 * (361**2 - 1) / 2, known before any element is built
+        # the histogram needs the elements; their number, 23392800, is known
+        # before any is built
         start = time.perf_counter()
-        code, out, err = invoke(capsys, "quotient", "--mod", "19", "--no-cache")
+        code, out, err = invoke(capsys, "quotient", "--mod", "19",
+                                "--histogram", "--no-cache")
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert err == "undecided: closure reached the element cap of 2000000\n"
+
+    def test_order_above_cap_is_answered(self, capsys):
+        code, out, _ = invoke(capsys, "quotient", "--mod", "19", "--no-cache")
+        assert (code, out) == (0, "quotient mod 19: order 23392800\n")
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_cap_below_one_is_input_error(self, capsys, cap):
@@ -329,6 +335,31 @@ class TestCensus:
         monkeypatch.setattr(cli, "levels", levels)
         with pytest.raises(Stop):
             main(["census", "--index", "5", "--format", "json"])
+
+
+@pytest.mark.parametrize("argv,builds", [
+    (["quotient", "--mod", "16", "--no-cache"], False),
+    (["closure", "--mod", "16", "--seed", "T^4", "--no-cache"], False),
+    (["congruence", "--hfs", EXAMPLES["i5-level4"][0]], False),
+    (["quotient", "--mod", "8", "--histogram", "--no-cache"], True),
+    (["verify", "--lemma", "2.3"], True),
+])
+def test_element_sets_built_only_when_read(capsys, monkeypatch, argv, builds):
+    """Orders come from the row orbit; only a histogram, a kernel scan or
+    the disk cache builds the element set."""
+    built = []
+
+    def elements(q):
+        if not builds:
+            raise AssertionError(f"built the elements of Q({q.modulus})")
+        built.append(q.modulus)
+        return real.func(q)
+
+    real = quotients.QuotientGroup.__dict__["elements"]
+    monkeypatch.setattr(quotients, "_memo", {})
+    monkeypatch.setattr(quotients.QuotientGroup, "elements", property(elements))
+    assert invoke(capsys, *argv)[0] == 0
+    assert bool(built) == builds
 
 
 def test_version_flag(capsys):

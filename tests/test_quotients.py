@@ -15,9 +15,9 @@ from hecke5.hecke_matrices import (
 )
 from hecke5 import closure, congruence, quotients
 from hecke5.quotients import (
-    UndecidedError, _cache_name, _generator_actions, _load_quotient, _row_orbit,
-    build_quotient, check_elementary_abelian, kernel_subgroup, normal_closure,
-    residue_ambient, sl2_enumeration_order, sl_index_formula, subgroup_closure,
+    UndecidedError, _ambient, _cache_name, _generator_actions, _load_quotient,
+    _row_orbit, build_quotient, check_elementary_abelian, kernel_subgroup,
+    normal_closure, sl2_enumeration_order, sl_index_formula, subgroup_closure,
 )
 
 
@@ -54,8 +54,6 @@ class TestOrders:
             build_quotient(Modulus.rational(10**9))
         with pytest.raises(UndecidedError):
             build_quotient(Modulus.rational(33))  # 2 * 1089**2 entries > 2M
-        with pytest.raises(UndecidedError):
-            residue_ambient(Modulus.rational(33))
         # the add and mul tables mod 2 have 2 * 4**2 entries
         with pytest.raises(UndecidedError, match="mod 2 need 32 entries, "
                                                  "above the element cap of 31"):
@@ -63,6 +61,15 @@ class TestOrders:
         assert build_quotient(Modulus.rational(2), element_cap=32).order == 10
         with pytest.raises(ValueError, match="at least 1, not 0"):
             build_quotient(Modulus.rational(2), element_cap=0)
+
+    @pytest.mark.parametrize("p,expected", [
+        (19, (19 * (19**2 - 1)) ** 2 // 2),  # split: |SL(2, 19)|^2 / 2
+        (23, 23**2 * (23**4 - 1) // 2),      # inert: q (q^2 - 1) / 2, q = 23^2
+    ])
+    def test_order_above_cap_is_psl2(self, p, expected):
+        """Above the element cap the order is still exact: |PSL(2, O/p)|
+        (23392800 and 74017680), counted independently of the row orbit."""
+        assert build_quotient(Modulus.rational(p)).order == expected
 
     def test_one_undecided_error(self):
         assert closure.UndecidedError is UndecidedError
@@ -72,7 +79,7 @@ class TestOrders:
         # the elementary generators at m = 1 generate 58800 elements mod 7
         # (and far more than 2M mod 31, where uncapped this closure ran out
         # of memory)
-        amb = residue_ambient(Modulus.rational(7))
+        amb = build_quotient(Modulus.rational(7))
         with pytest.raises(UndecidedError,
                            match=f"element cap of {low_element_cap}"):
             subgroup_closure(amb, elementary_generators(1))
@@ -95,19 +102,22 @@ def test_build_matches_bfs(mod, projective):
     bfs = generated_closure(group.identity, _generator_actions(mod, projective))
     assert group.elements == bfs
     assert {group.gen_S, group.gen_T} <= group.elements
-    assert group.order == len(reps) * len(shifts)
+    assert group.order == len(reps) * len(shifts) == len(group.elements)
 
 
 @pytest.mark.parametrize("projective", [True, False])
 @pytest.mark.parametrize("mod", [Modulus.rational(8), Modulus.ideal(RAMIFIED_PRIME),
                                  Modulus.ideal(GoldenInt(5, 2))], ids=str)
 def test_element_cap_boundary(mod, projective):
-    """Undecided exactly when the order passes the cap, as the BFS was."""
+    """The elements are undecided exactly when the order passes the cap, as
+    the BFS was; the order is known either way."""
     order = build_quotient(mod, projective).order
-    assert build_quotient(mod, projective, element_cap=order).order == order
+    assert len(build_quotient(mod, projective, element_cap=order).elements) == order
+    below = build_quotient(mod, projective, element_cap=order - 1)
+    assert below.order == order
     with pytest.raises(UndecidedError,
                        match=f"closure reached the element cap of {order - 1}$"):
-        build_quotient(mod, projective, element_cap=order - 1)
+        below.elements
 
 
 class TestLagrange:
@@ -204,12 +214,15 @@ class TestIndexFormula:
 
 
 def test_lazy_ambient_closure():
-    amb = residue_ambient(Modulus.rational(25), projective=True)
+    """Q(25) has 117187500 elements, far above the cap: its closures and
+    its order need none of them."""
+    amb = build_quotient(Modulus.rational(25), projective=True)
     h = subgroup_closure(amb, delta_m(5))
     assert h.order == 5**6
     assert check_elementary_abelian(h, 5)
-    with pytest.raises(ValueError):
-        amb.order
+    assert amb.order == sl_index_formula(Modulus.rational(25)) // 2
+    with pytest.raises(UndecidedError):
+        amb.elements
 
 
 @pytest.fixture
@@ -223,9 +236,9 @@ def test_disk_cache_roundtrip(tmp_path, empty_memo):
     built = build_quotient(mod, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
     assert path.name == _cache_name(mod, True)
-    loaded = _load_quotient(path, residue_ambient(mod))
-    assert loaded.elements == built.elements
-    assert loaded.gen_S == built.gen_S and loaded.gen_T == built.gen_T
+    loaded = _ambient(mod, True, built.element_cap)
+    _load_quotient(path, loaded)
+    assert vars(loaded)["elements"] == built.elements
     # a new memo reads the file instead of building
     quotients._memo.clear()
     again = build_quotient(mod, cache_dir=tmp_path)
@@ -270,15 +283,25 @@ def test_associates_share_one_quotient(tmp_path, empty_memo):
 
 
 def test_memo_holds_at_most_the_element_cap(empty_memo, low_element_cap):
-    """Least recently used quotients go while the memo holds more than
-    the default cap (here 5000) of elements; the newest always stays."""
-    assert q(6).order + q(6, False).order + q(4).order == 600 + 1200 + 160
-    q(6, False)  # now the least recently used is Q(6)
-    assert q(GoldenInt(4, 1)).order == 3420  # 5380 in all: Q(6) goes
-    assert [(str(m), p) for m, p, _ in quotients._memo] == [
-        ("4", True), ("6", False), ("(4+L)", True)]
-    assert q(8).order == 10240  # above the cap alone
-    assert [(str(m), p) for m, p, _ in quotients._memo] == [("8", True)]
+    """At each call, least recently used quotients go while the memo holds
+    more than the default cap (here 5000) of built elements; the newest
+    always stays.  An order builds no element, so it counts for nothing."""
+    def memo():
+        return [(str(m), p) for m, p, _ in quotients._memo]
+
+    assert q(5).order == 7500  # above the cap: no element built
+    assert (len(q(6).elements) + len(q(6, False).elements)
+            + len(q(4).elements)) == 600 + 1200 + 160
+    q(6, False)  # now the least recently used are Q(5), then Q(6)
+    assert len(q(GoldenInt(4, 1)).elements) == 3420  # 5380 in all
+    assert memo() == [("5", True), ("6", True), ("4", True), ("6", False),
+                      ("(4+L)", True)]
+    q(4)  # the next call drops Q(5), which holds nothing, and Q(6)
+    assert memo() == [("6", False), ("(4+L)", True), ("4", True)]
+    big = build_quotient(Modulus.rational(8), element_cap=20000)
+    assert len(big.elements) == 10240  # above the cap alone
+    q(4)
+    assert memo() == [("4", True)]
 
 
 def test_cached_quotient_obeys_element_cap(tmp_path, empty_memo):
@@ -288,7 +311,7 @@ def test_cached_quotient_obeys_element_cap(tmp_path, empty_memo):
     for cache_dir in (None, tmp_path):
         with pytest.raises(UndecidedError,
                            match="closure reached the element cap of 9000"):
-            build_quotient(mod, element_cap=9000, cache_dir=cache_dir)
+            build_quotient(mod, element_cap=9000, cache_dir=cache_dir).elements
     assert build_quotient(mod, element_cap=10240,
                           cache_dir=tmp_path).order == 10240
 
@@ -313,7 +336,9 @@ def test_disk_cache_bad_file_is_rebuilt(tmp_path, empty_memo, garbage):
     assert build_quotient(mod, cache_dir=tmp_path).order == 10240
     assert list(tmp_path.iterdir()) == [path]
     assert path.read_bytes() != garbage
-    assert _load_quotient(path, residue_ambient(mod)).order == 10240
+    loaded = _ambient(mod, True, 10240)
+    _load_quotient(path, loaded)
+    assert len(vars(loaded)["elements"]) == 10240
     assert build_quotient(mod, cache_dir=tmp_path).order == 10240
 
 
@@ -329,7 +354,7 @@ words = st.lists(
 
 @given(st.sampled_from(KEY_MODULI), st.booleans(), words, words)
 def test_mult_matches_matrix_product(mod, projective, u, v):
-    amb = residue_ambient(mod, projective=projective)
+    amb = build_quotient(mod, projective=projective)
     g, h = eval_word_homogeneous(u), eval_word_homogeneous(v)
     assert amb.mult(amb.key_of(g), amb.key_of(h)) == amb.key_of(g * h)
     assert amb.mult(amb.key_of(g), amb.inv_key(amb.key_of(g))) == amb.identity
@@ -370,7 +395,7 @@ def test_disk_cache_ignores_v1_files(tmp_path, empty_memo):
     tag = f"v1|{mod.kind}|{mod.generator.a},{mod.generator.b}|1"
     v1 = tmp_path / (hashlib.sha256(tag.encode()).hexdigest()[:20] + ".quot")
     # well-formed in the current format, but holding only the identity
-    ident = residue_ambient(mod).identity
+    ident = _ambient(mod, True, 10**6).identity
     stale = (b"HQC2" + struct.pack("<Q", 1)
              + struct.pack("<12I", *ident, *ident, *ident))
     v1.write_bytes(stale)
