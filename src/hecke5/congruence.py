@@ -17,9 +17,6 @@ from collections import deque
 from dataclasses import asdict, dataclass, fields
 from math import lcm
 
-from sympy.combinatorics.fp_groups import FpGroup, low_index_subgroups
-from sympy.combinatorics.free_groups import free_group
-
 from . import __version__
 from .closure import DEFAULT_ELEMENT_CAP, UndecidedError
 from .golden_ring import GoldenInt, Modulus, classify_rational_prime, factor
@@ -27,9 +24,7 @@ from .hecke_matrices import Word, word
 from .quotients import _ambient, _generator_actions, build_quotient
 
 DEFAULT_COSET_CAP = 5_000
-
-_F, _s, _u = free_group("s u")
-_PRESENTATION = FpGroup(_F, [_s**2, _u**5])
+MAX_CENSUS_INDEX = 12
 
 
 @dataclass(frozen=True)
@@ -189,14 +184,6 @@ def coset_table(generators: list[Word], cap: int = DEFAULT_COSET_CAP) -> CosetTa
     perm_s = [row[0] for row in table]  # a dead row may have gaps: unread
     perm_t = [None if x is None else table[x][2] for x in perm_s]
     return CosetTable(*_canonical(perm_s, perm_t))
-
-
-def _s_and_t(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """S- and T-actions from the rows of a sympy coset table."""
-    # columns follow CosetTable.A = [s, s^-1, u, u^-1]
-    perm_s = tuple(row[0] for row in rows)
-    perm_u = tuple(row[2] for row in rows)
-    return perm_s, tuple(perm_u[j] for j in perm_s)
 
 
 def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
@@ -403,28 +390,61 @@ def _canonical(perm_s, perm_t, base: int = 0):
             tuple(pos[perm_t[p]] for p in order))
 
 
-def enumerate_index(n: int) -> list[CosetTable]:
-    """One coset table per index-n subgroup (distinct stabilizers of point 0).
+def _actions(n: int):
+    """Each transitive action (s, u) of <s, u | s^2 = u^5 = 1> on range(n)
+    whose points are labelled in order of first appearance, once.
 
-    Sims' low-index algorithm gives one table per conjugacy class; moving
-    the base point through every coset gives each conjugate.
+    Points are visited in label order.  Each gets its s-image, then its
+    u-cycle: fixed, or a 5-cycle through points with no u-image yet or
+    through new points, which take the next free label.  So each subgroup
+    of index n, the stabilizer of point 0, comes out exactly once.
     """
-    if n < 1:
-        raise ValueError("index must be positive")
-    if n > 10:
-        raise ValueError("census limited to index <= 10")
-    seen = set()
-    out = []
-    for c in low_index_subgroups(_PRESENTATION, n):
-        if len(c.table) != n:
-            continue
-        perm_s, perm_t = _s_and_t(c.table)
-        for base in range(n):
-            key = _canonical(perm_s, perm_t, base)
-            if key not in seen:
-                seen.add(key)
-                out.append(CosetTable(*key))
-    return out
+    s: list[int | None] = [None] * n
+    u: list[int | None] = [None] * n
+
+    def free(perm, p: int, size: int) -> list[int]:
+        """Labelled points after p with no image under perm, then a new one."""
+        return ([q for q in range(p + 1, size) if perm[q] is None]
+                + ([size] if size < n else []))
+
+    def visit(p: int, size: int):  # points below `size` are labelled
+        if p == size:  # the orbit of 0 is closed: a result iff it has n points
+            if p == n:
+                yield tuple(s), tuple(u)
+        elif s[p] is None:
+            for q in [p] + free(s, p, size):
+                s[p], s[q] = q, p
+                yield from visit(p, max(size, q + 1))
+                s[p] = s[q] = None
+        elif u[p] is None:
+            u[p] = p
+            yield from visit(p + 1, size)
+            u[p] = None
+            yield from cycle([p], size)
+        else:
+            yield from visit(p + 1, size)
+
+    def cycle(path: list[int], size: int):  # a u-cycle from path[0]
+        if len(path) < 5:
+            for q in [q for q in free(u, path[0], size) if q not in path]:
+                yield from cycle(path + [q], max(size, q + 1))
+        else:
+            for a, b in zip(path, path[1:] + path[:1]):
+                u[a] = b
+            yield from visit(path[0] + 1, size)
+            for a in path:
+                u[a] = None
+
+    return visit(0, 1)
+
+
+def enumerate_index(n: int) -> list[CosetTable]:
+    """One coset table per index-n subgroup (distinct stabilizers of point
+    0), in the order `_actions` finds them."""
+    if not 1 <= n <= MAX_CENSUS_INDEX:
+        raise ValueError(f"census index must be 1 to {MAX_CENSUS_INDEX}")
+    return [CosetTable(*_canonical(s, tuple(u[j] for j in s)))
+            for s, u in _actions(n)]
 
 
 def is_normal_table(t: CosetTable) -> bool:

@@ -174,8 +174,8 @@ def build_quotient(modulus: Modulus, projective: bool = True,
     """The image of {S, T} mod `modulus`, memoised per process.
 
     The memo is keyed by modulus, projectivity and the cap; `cache_dir`
-    only matters on a miss.  Then the elements are read from the disk cache
-    if its file loads, else built and written there.  A file that does not
+    only matters on a miss whose order is within the cap.  Then the
+    elements are read from its file if that loads, else built and written.  A file that does not
     load (bad magic, truncated) counts as missing and is rewritten.  A memo
     hit touches no file.  At each call the memo drops its least recently
     used quotients while they hold more than DEFAULT_ELEMENT_CAP built
@@ -185,7 +185,7 @@ def build_quotient(modulus: Modulus, projective: bool = True,
     q = _memo.pop(key, None)
     if q is None:
         q = _ambient(modulus, projective, element_cap)
-        if cache_dir is not None:
+        if cache_dir is not None and q.order <= element_cap:
             path = Path(cache_dir) / _cache_name(modulus, projective)
             try:
                 _load_quotient(path, q)

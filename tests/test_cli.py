@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -301,8 +304,8 @@ class TestCensus:
 
 
     def test_index_five_text_unchanged(self, capsys):
-        # recorded before rows were streamed; the row order is sympy's
-        # low-index order, so another sympy version may need a new record
+        # rows come in the order of congruence._actions, this package's
+        # own low-index search; re-recorded when it replaced sympy's
         code, out, _ = invoke(capsys, "census", "--index", "5")
         assert code == 0
         assert out == (Path(__file__).parent / "data" / "census_index5.txt").read_text()
@@ -366,3 +369,16 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_start_up_imports_no_sympy():
+    """The runtime has no dependency: a fresh `import hecke5.cli` leaves no
+    sympy module behind (sympy serves the tests' oracles only)."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, hecke5.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'sympy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

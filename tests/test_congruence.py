@@ -1,16 +1,21 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import reduce
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from sympy.combinatorics.fp_groups import coset_enumeration_r
+from sympy.combinatorics.fp_groups import (
+    FpGroup, coset_enumeration_r, low_index_subgroups,
+)
+from sympy.combinatorics.free_groups import free_group
 
 from hecke5.congruence import (
-    DEFAULT_COSET_CAP, _F, _PRESENTATION, CongruenceReport, CosetTable,
-    UndecidedError, _canonical, _conflicts, _ideal_divisors, _s, _s_and_t, _u,
-    algebraic_level, coset_table, enumerate_index, geometric_level_from_table,
-    is_congruence, is_normal_table, schreier_generators, wohlfahrt_modulus,
+    DEFAULT_COSET_CAP, CongruenceReport, CosetTable, UndecidedError,
+    _canonical, _conflicts, _ideal_divisors, algebraic_level, coset_table,
+    enumerate_index, geometric_level_from_table, is_congruence,
+    is_normal_table, schreier_generators, wohlfahrt_modulus,
 )
 from hecke5.farey import parse_hfs, side_pairing
 from hecke5.golden_ring import Modulus, gcd as golden_gcd
@@ -58,6 +63,19 @@ class TestCosetTable:
             CosetTable((1, 2, 0), (0, 1, 2))  # S-action not an involution
         with pytest.raises(ValueError):
             CosetTable((0, 1), (0, 1))  # not transitive
+
+
+# sympy's G5 = <s, u | s^2 = u^5 = 1>, for the oracles below
+_F, _s, _u = free_group("s u")
+_PRESENTATION = FpGroup(_F, [_s**2, _u**5])
+
+
+def _s_and_t(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """S- and T-actions from the rows of a sympy coset table."""
+    # columns follow CosetTable.A = [s, s^-1, u, u^-1]
+    perm_s = tuple(row[0] for row in rows)
+    perm_u = tuple(row[2] for row in rows)
+    return perm_s, tuple(perm_u[j] for j in perm_s)
 
 
 def sympy_table(words, cap):
@@ -397,16 +415,56 @@ class TestAlgebraicLevel:
             assert q.order == img.order * 5
 
 
-class TestCensus:
-    # Counts of subgroups of C2 * C5 from Hall's formula, which counts
-    # homomorphisms to S_n and never enumerates a subgroup: an independent
-    # check that agrees with enumerate_index at every index up to 10.
-    @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 0), (4, 0),
-                                         (5, 26), (6, 60), (7, 56), (8, 32)])
-    def test_small_indexes(self, n, count):
-        assert len(enumerate_index(n)) == count
+def hall_counts(top):
+    """Index-n subgroup counts of C2 * C5 for n = 0 .. top, by Hall's
+    recursion, which never enumerates a subgroup.
 
-    @pytest.mark.parametrize("n", [0, 11])
+    h_n = |Hom(C2 * C5, S_n)| is the number of involutions of S_n (the
+    identity included) times the number of u with u^5 = 1; then
+    a_n = h_n / (n-1)! - sum over k < n of h_(n-k) a_k / (n-k)!.
+    """
+    inv, fifth = [1, 1], [1]
+    for n in range(2, top + 1):
+        inv.append(inv[n - 1] + (n - 1) * inv[n - 2])
+    for n in range(1, top + 1):  # n's 5-cycle, if any, takes 4 more points
+        fifth.append(fifth[n - 1] + (factorial(n - 1) // factorial(n - 5)
+                                     * fifth[n - 5] if n >= 5 else 0))
+    h = [i * f for i, f in zip(inv, fifth)]
+    a = [0]
+    for n in range(1, top + 1):
+        a_n = Fraction(h[n], factorial(n - 1)) - sum(
+            Fraction(h[n - k] * a[k], factorial(n - k)) for k in range(1, n))
+        assert a_n.denominator == 1
+        a.append(int(a_n))
+    return a
+
+
+def sympy_census(n):
+    """sympy's low-index search at n, one table per conjugacy class,
+    expanded to every subgroup by moving the marked point."""
+    out = set()
+    for c in low_index_subgroups(_PRESENTATION, n):
+        if len(c.table) == n:
+            perm_s, perm_t = _s_and_t(c.table)
+            out |= {CosetTable(*_canonical(perm_s, perm_t, base))
+                    for base in range(n)}
+    return out
+
+
+class TestCensus:
+    @pytest.mark.parametrize("n,count", list(enumerate(hall_counts(12)))[1:])
+    def test_small_indexes(self, n, count):
+        # each subgroup once, and as many as Hall's recursion counts
+        tabs = enumerate_index(n)
+        assert len(set(tabs)) == len(tabs) == count
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_agrees_with_sympy(self, n):
+        """The same subgroups as sympy's low-index search (Sims' algorithm),
+        which stays in the tests only, as an independent oracle."""
+        assert set(enumerate_index(n)) == sympy_census(n)
+
+    @pytest.mark.parametrize("n", [0, 13])
     def test_index_out_of_range(self, n):
         with pytest.raises(ValueError):
             enumerate_index(n)

@@ -316,6 +316,14 @@ def test_cached_quotient_obeys_element_cap(tmp_path, empty_memo):
                           cache_dir=tmp_path).order == 10240
 
 
+def test_cache_dir_leaves_an_order_above_the_cap_alone(
+        tmp_path, empty_memo, low_element_cap):
+    """With a cache directory, an order above the cap (here 5000) is still
+    answered: no element is built to write a file, and none is written."""
+    assert build_quotient(Modulus.rational(5), cache_dir=tmp_path).order == 7500
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_disk_cache_file_mode_follows_umask(tmp_path, empty_memo, umask, mode):
     old = os.umask(umask)
