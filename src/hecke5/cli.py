@@ -17,7 +17,7 @@ from . import __version__
 from .closure import DEFAULT_ELEMENT_CAP, UndecidedError
 from .golden_ring import Modulus, parse_golden
 from .hecke_matrices import NotInG5Error, decompose, eval_word, parse_word
-from .quotients import build_quotient, kernel_predicate, normal_closure
+from .quotients import build_quotient, kernel_subgroup, normal_closure
 from .congruence import (
     DEFAULT_COSET_CAP, coset_table, enumerate_index,
     is_congruence, is_normal_table, levels,
@@ -94,17 +94,16 @@ def cmd_closure(args) -> int:
     q = build_quotient(mod, projective=True, **kw)
     seed = eval_word(parse_word(args.seed))
     h = normal_closure(q, [seed])
-    # d is a kernel level iff h lies in the kernel of Q(M) -> Q(d) and has
-    # its order |Q(M)| / |Q(d)|; reduction onto Q(d) is surjective.
+    # d is a kernel level iff h is the kernel of Q(M) -> Q(d), whose order
+    # is |Q(M)| / |Q(d)| as reduction is onto: that test builds no element.
     matches = []
     if mod.c == 0 and mod.d1 == mod.d2:  # (M) = (n) for a rational n
         n = mod.d1
         for d in [k for k in range(1, n + 1) if n % k == 0]:
             level = Modulus.rational(d)
-            if not all(map(kernel_predicate(q, level), h.members)):
-                continue
-            qd = q if d == n else build_quotient(level, projective=True, **kw)
-            if h.order * qd.order == q.order:
+            qd = build_quotient(level, projective=True, **kw)
+            if (h.order * qd.order == q.order
+                    and kernel_subgroup(q, level).members == h.members):
                 matches.append(d)
     rec = {"record": "closure", "modulus": str(mod), "seed": args.seed,
            "order": h.order, "kernel_levels": matches}

@@ -96,16 +96,11 @@ class QuotientGroup:
 
     @cached_property
     def elements(self) -> frozenset[Key]:
-        """Undecided, before any element is built, above the element cap."""
+        """All of Q, the kernel of reduction mod 1.  Undecided, before any
+        element is built, above the element cap."""
         if self.order > self.element_cap:
             raise _cap_reached(self.element_cap)
-        reps, shifts = self._orbit
-        r = ring_tables(self.modulus)
-        add, mul = r.add, r.mul
-        # (1 0; u 1) (a b; c d) = (a b; ua+c ub+d), already `_signed` when
-        # projective (see `_row_orbit`)
-        return frozenset((a, b, add[c][mul[u][a]], add[d][mul[u][b]])
-                         for a, b, c, d in reps for u in shifts)
+        return _kernel(self, Modulus.rational(1))
 
     @property
     def gen_S(self) -> Key:
@@ -174,18 +169,18 @@ def build_quotient(modulus: Modulus, projective: bool = True,
     """The image of {S, T} mod `modulus`, memoised per process.
 
     The memo is keyed by modulus, projectivity and the cap; `cache_dir`
-    only matters on a miss whose order is within the cap.  Then the
-    elements are read from its file if that loads, else built and written.  A file that does not
-    load (bad magic, truncated) counts as missing and is rewritten.  A memo
-    hit touches no file.  At each call the memo drops its least recently
-    used quotients while they hold more than DEFAULT_ELEMENT_CAP built
-    elements in all; the newest one always stays.
+    only matters on a miss.  Then the row orbit is read from its file if
+    that loads, else walked and written.  A file that does not load (bad
+    magic, truncated) counts as missing and is rewritten.  A memo hit
+    touches no file.  At each call the memo drops its least recently used
+    quotients while they hold more than DEFAULT_ELEMENT_CAP built elements
+    in all; the newest one always stays.
     """
     key = (modulus, projective, element_cap)
     q = _memo.pop(key, None)
     if q is None:
         q = _ambient(modulus, projective, element_cap)
-        if cache_dir is not None and q.order <= element_cap:
+        if cache_dir is not None:
             path = Path(cache_dir) / _cache_name(modulus, projective)
             try:
                 _load_quotient(path, q)
@@ -254,21 +249,22 @@ def _row_orbit(modulus: Modulus,
     return reps, shifts
 
 
-# Cache format v2: gen_S, gen_T, then the elements, 4 residue indices each.
-_CACHE_MAGIC = b"HQC2"
+# Cache format v3: len(reps), len(U), the reps (4 indices each), then U.
+_CACHE_MAGIC = b"HQC3"
 
 
 def _cache_name(modulus: Modulus, projective: bool) -> str:
     # the ideal's HNF, not its generator or `kind`: equal moduli share one
     # file, as they share one memo entry
-    tag = f"v2|{modulus.d1},{modulus.c},{modulus.d2}|{int(projective)}"
+    tag = f"v3|{modulus.d1},{modulus.c},{modulus.d2}|{int(projective)}"
     return hashlib.sha256(tag.encode()).hexdigest()[:20] + ".quot"
 
 
 def _save_quotient(q: QuotientGroup, path: Path) -> None:
     """Write to a temporary file beside `path`, then rename it into place,
     so a crash mid-write never leaves a partial file under the cache name."""
-    flat = array("I", chain(q.gen_S, q.gen_T, chain.from_iterable(q.elements)))
+    reps, shifts = q._orbit
+    flat = array("I", chain(chain.from_iterable(reps), shifts))
     umask = os.umask(0)  # reading the umask means setting it
     os.umask(umask)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -276,7 +272,7 @@ def _save_quotient(q: QuotientGroup, path: Path) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(_CACHE_MAGIC)
-            fh.write(struct.pack("<Q", len(q.elements)))
+            fh.write(struct.pack("<QQ", len(reps), len(shifts)))
             fh.write(flat.tobytes())
         # mkstemp makes the file 0600; give it the mode open() would
         os.chmod(tmp, 0o666 & ~umask)
@@ -287,23 +283,19 @@ def _save_quotient(q: QuotientGroup, path: Path) -> None:
 
 
 def _load_quotient(path: Path, q: QuotientGroup) -> None:
-    """Set q's elements from `path` as reading them would; skip its gens.
-
-    Raises UndecidedError, as the build would, when the file holds more
-    elements than `q.element_cap`."""
+    """Set q's row orbit from `path` as walking it would."""
     with open(path, "rb") as fh:
         if fh.read(4) != _CACHE_MAGIC:
             raise ValueError(f"bad quotient cache file {path}")
-        (count,) = struct.unpack("<Q", fh.read(8))
-        if count > q.element_cap:
-            raise _cap_reached(q.element_cap)
+        n_reps, n_shifts = struct.unpack("<QQ", fh.read(16))
         flat = array("I")
         flat.frombytes(fh.read())
-    if len(flat) != 4 * (count + 2):
+    if len(flat) != 4 * n_reps + n_shifts:
         raise ValueError(f"truncated quotient cache file {path}")
     if flat and max(flat) >= q.modulus.ring_size:
         raise ValueError(f"residue index out of range in {path}")
-    vars(q)["elements"] = frozenset(zip(*[iter(flat[8:])] * 4))
+    reps = list(zip(*[iter(flat[:4 * n_reps])] * 4))
+    vars(q)["_orbit"] = reps, list(flat[4 * n_reps:])
 
 
 # ---------------------------------------------------------------------------
@@ -332,27 +324,34 @@ def _as_key(q: QuotientGroup, seed) -> Key:
     return seed
 
 
-def kernel_predicate(q: QuotientGroup, m: Modulus) -> Callable[[Key], bool]:
-    """Test for x congruent to I (homogeneous) or +-I (projective) mod m."""
+def kernel_subgroup(q: QuotientGroup, m: Modulus) -> SubgroupHandle:
+    """Elements of q congruent to I (homogeneous) or +-I (projective) mod m.
+
+    Reduction onto Q(m) is onto, so there are |Q| / |Q(m)| of them:
+    undecided, before any is built, above the element cap."""
     if not m.divides(q.modulus):
         raise ValueError(f"{m} does not divide {q.modulus}")
+    qm = build_quotient(m, q.projective, q.element_cap)
+    if q.order // qm.order > q.element_cap:
+        raise _cap_reached(q.element_cap)
+    return SubgroupHandle(q, _kernel(q, m))
+
+
+def _kernel(q: QuotientGroup, m: Modulus) -> frozenset[Key]:
+    """The (1 0; u 1) t = (a b; ua+c ub+d) of `_row_orbit` that are (+-)I mod
+    m: t's row is (+-)(1, 0) and ua+c = 0, so ub+d = a by det = 1.  Each
+    keeps t's row, so its key is already `_signed`."""
     big, small = ring_tables(q.modulus), ring_tables(m)
+    add, mul = big.add, big.mul
     down = [small.index(*big.pair(i)) for i in range(q.modulus.ring_size)]
-    one, zero = small.index(1, 0), small.index(0, 0)
-    diagonal = {(one, one)}
-    if q.projective:
-        diagonal.add((small.neg[one], small.neg[one]))
-
-    def member(x: Key) -> bool:
-        return (down[x[1]] == zero and down[x[2]] == zero
-                and (down[x[0]], down[x[3]]) in diagonal)
-
-    return member
-
-
-def kernel_subgroup(q: QuotientGroup, m: Modulus) -> SubgroupHandle:
-    """Elements of q congruent to I (homogeneous) or +-I (projective) mod m."""
-    return SubgroupHandle(q, frozenset(filter(kernel_predicate(q, m), q.elements)))
+    zero, one = small.index(0, 0), small.index(1, 0)
+    ones = {one, small.neg[one]} if q.projective else {one}
+    reps, shifts = q._orbit
+    return frozenset(
+        (a, b, add[c][mul[u][a]], add[d][mul[u][b]])
+        for a, b, c, d in reps if down[a] in ones and down[b] == zero
+        for want in [small.neg[small.mul[down[c]][down[a]]]]  # u = -c/a
+        for u in shifts if down[u] == want)
 
 
 def check_elementary_abelian(h: SubgroupHandle, p: int) -> bool:

@@ -345,11 +345,17 @@ class TestCensus:
     (["closure", "--mod", "16", "--seed", "T^4", "--no-cache"], False),
     (["congruence", "--hfs", EXAMPLES["i5-level4"][0]], False),
     (["quotient", "--mod", "8", "--histogram", "--no-cache"], True),
-    (["verify", "--lemma", "2.3"], True),
+    (["verify", "--lemma", "2.3"], False),
+    (["quotient", "--mod", "16", "--cache-dir", "{cache}"], False),
+    (["closure", "--mod", "16", "--seed", "T^4", "--cache-dir", "{cache}"],
+     False),
 ])
-def test_element_sets_built_only_when_read(capsys, monkeypatch, argv, builds):
-    """Orders come from the row orbit; only a histogram, a kernel scan or
-    the disk cache builds the element set."""
+def test_element_sets_built_only_when_read(capsys, monkeypatch, tmp_path,
+                                           argv, builds):
+    """Orders, kernels and the disk cache come from the row orbit; only a
+    histogram builds the element set.  Each command runs twice from an
+    empty memo: with a cache directory, once writing its file, once
+    reading it."""
     built = []
 
     def elements(q):
@@ -359,10 +365,13 @@ def test_element_sets_built_only_when_read(capsys, monkeypatch, argv, builds):
         return real.func(q)
 
     real = quotients.QuotientGroup.__dict__["elements"]
-    monkeypatch.setattr(quotients, "_memo", {})
     monkeypatch.setattr(quotients.QuotientGroup, "elements", property(elements))
-    assert invoke(capsys, *argv)[0] == 0
+    argv = [a.format(cache=tmp_path) for a in argv]
+    for _ in range(2):
+        monkeypatch.setattr(quotients, "_memo", {})
+        assert invoke(capsys, *argv)[0] == 0
     assert bool(built) == builds
+    assert any(tmp_path.iterdir()) == ("--cache-dir" in argv)
 
 
 def test_version_flag(capsys):

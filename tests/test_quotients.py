@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hecke5.closure import generated_closure
-from hecke5.golden_ring import GoldenInt, Modulus, RAMIFIED_PRIME
+from hecke5.golden_ring import GoldenInt, Modulus, RAMIFIED_PRIME, ring_tables
 from hecke5.hecke_matrices import (
     delta_m, elementary_generators, eval_word, eval_word_homogeneous,
     parse_word, word,
@@ -163,6 +163,47 @@ class TestKernelLadder:
             kernel_subgroup(q(6), Modulus.rational(4))
 
 
+def kernel_by_filter(group, m):
+    """The kernel by its definition: the elements of the group that are I,
+    or +-I when projective, mod m."""
+    big, small = ring_tables(group.modulus), ring_tables(m)
+    down = [small.index(*big.pair(i)) for i in range(group.modulus.ring_size)]
+    one, zero = small.index(1, 0), small.index(0, 0)
+    signs = {one, small.neg[one]} if group.projective else {one}
+    return frozenset(x for x in group.elements
+                     if down[x[1]] == zero and down[x[2]] == zero
+                     and down[x[0]] == down[x[3]] and down[x[0]] in signs)
+
+
+@pytest.mark.parametrize("projective", [True, False])
+@pytest.mark.parametrize("mod,divisors", [
+    pytest.param(Modulus.rational(n), [Modulus.rational(d) for d in
+                                       range(1, n + 1) if n % d == 0], id=str(n))
+    for n in (4, 6, 8, 10, 12, 16)] + [
+    pytest.param(Modulus.ideal(GoldenInt(4, 2)),
+                 [Modulus.rational(2), Modulus.ideal(GoldenInt(2, 1))],
+                 id="(4+2L) over (2) and (2+L)")])
+def test_kernels_from_the_orbit_match_the_filter(mod, divisors, projective):
+    """`kernel_subgroup` reads the kernel off the row orbit; the oracle
+    filters the whole element set."""
+    group = build_quotient(mod, projective)
+    for d in divisors:
+        k = kernel_subgroup(group, d)
+        assert k.members == kernel_by_filter(group, d), d
+        assert k.order * build_quotient(d, projective).order == group.order
+
+
+def test_kernel_above_the_cap_is_undecided_before_it_is_built():
+    """|Q(19)| is about 23M: the kernel mod 19 is trivial, and the kernel
+    mod 1, all of Q(19), is refused from the orders alone."""
+    group = q(19)
+    assert kernel_subgroup(group, Modulus.rational(19)).members == {
+        group.identity}
+    with pytest.raises(UndecidedError, match="element cap of 2000000"):
+        kernel_subgroup(group, Modulus.rational(1))
+    assert "elements" not in vars(group)
+
+
 class TestNormalClosures:
     def test_t2_mod_4(self):
         group = q(4)
@@ -238,7 +279,7 @@ def test_disk_cache_roundtrip(tmp_path, empty_memo):
     assert path.name == _cache_name(mod, True)
     loaded = _ambient(mod, True, built.element_cap)
     _load_quotient(path, loaded)
-    assert vars(loaded)["elements"] == built.elements
+    assert vars(loaded)["_orbit"] == built._orbit
     # a new memo reads the file instead of building
     quotients._memo.clear()
     again = build_quotient(mod, cache_dir=tmp_path)
@@ -319,9 +360,14 @@ def test_cached_quotient_obeys_element_cap(tmp_path, empty_memo):
 def test_cache_dir_leaves_an_order_above_the_cap_alone(
         tmp_path, empty_memo, low_element_cap):
     """With a cache directory, an order above the cap (here 5000) is still
-    answered: no element is built to write a file, and none is written."""
-    assert build_quotient(Modulus.rational(5), cache_dir=tmp_path).order == 7500
-    assert list(tmp_path.iterdir()) == []
+    answered and its file written: the file holds the row orbit, not the
+    elements, which stay undecided."""
+    group = build_quotient(Modulus.rational(5), cache_dir=tmp_path)
+    assert group.order == 7500
+    path = tmp_path / _cache_name(group.modulus, True)
+    assert list(tmp_path.iterdir()) == [path]
+    with pytest.raises(UndecidedError):
+        group.elements
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
@@ -346,7 +392,8 @@ def test_disk_cache_bad_file_is_rebuilt(tmp_path, empty_memo, garbage):
     assert path.read_bytes() != garbage
     loaded = _ambient(mod, True, 10240)
     _load_quotient(path, loaded)
-    assert len(vars(loaded)["elements"]) == 10240
+    assert vars(loaded)["_orbit"] == _row_orbit(mod, True)
+    assert loaded.order == 10240
     assert build_quotient(mod, cache_dir=tmp_path).order == 10240
 
 
@@ -399,14 +446,28 @@ def test_normal_closure_is_normal(n, seed, expected):
 
 
 def test_disk_cache_ignores_v1_files(tmp_path, empty_memo):
+    """Files under the v1 and v2 names are stale: they are neither read nor
+    rewritten, whatever they hold."""
     mod = Modulus.rational(3)
-    tag = f"v1|{mod.kind}|{mod.generator.a},{mod.generator.b}|1"
-    v1 = tmp_path / (hashlib.sha256(tag.encode()).hexdigest()[:20] + ".quot")
-    # well-formed in the current format, but holding only the identity
     ident = _ambient(mod, True, 10**6).identity
-    stale = (b"HQC2" + struct.pack("<Q", 1)
-             + struct.pack("<12I", *ident, *ident, *ident))
-    v1.write_bytes(stale)
+
+    def name(tag):
+        return tmp_path / (hashlib.sha256(tag.encode()).hexdigest()[:20]
+                           + ".quot")
+
+    # well-formed in the current format, but holding only the identity's row
+    # and U = {0}: read, it would give order 1
+    v1 = name(f"v1|{mod.kind}|{mod.generator.a},{mod.generator.b}|1")
+    v1.write_bytes(b"HQC3" + struct.pack("<QQ5I", 1, 1, *ident, ident[1]))
+    # well-formed in the v2 format (gen_S, gen_T, then the elements), but
+    # holding only the identity
+    v2 = name(f"v2|{mod.d1},{mod.c},{mod.d2}|1")
+    v2.write_bytes(b"HQC2" + struct.pack("<Q12I", 1, *ident, *ident, *ident))
+    probe = _ambient(mod, True, 10**6)
+    _load_quotient(v1, probe)
+    assert probe.order == 1
+    stale = {v1: v1.read_bytes(), v2: v2.read_bytes()}
     assert build_quotient(mod, cache_dir=tmp_path).order == 60
-    assert v1.read_bytes() == stale
-    assert len(list(tmp_path.iterdir())) == 2
+    assert {path: path.read_bytes() for path in stale} == stale
+    assert sorted(tmp_path.iterdir()) == sorted(
+        [v1, v2, tmp_path / _cache_name(mod, True)])
