@@ -5,8 +5,9 @@ routines: `subgroup` and `normal_closure` build a subgroup one generator at
 a time by Dimino's algorithm.  A backend provides `mult`, an identity key,
 and (for normal closures) the designated conjugating generators with their
 inverses.  `generated_closure`, the breadth-first orbit of the identity
-under right actions, builds the ambient group for the modular oracle; the
-tests check the Hecke quotients' row orbit x stabilizer build against it.
+under right actions, is a test oracle only: the tests check the Hecke
+quotients' row orbit x stabilizer build and the modular oracle's order
+formula against it.
 """
 
 from __future__ import annotations

@@ -3,14 +3,16 @@
 Everything here lives in SL(2, Z/n).  The same closure engine drives both
 this module and the Z[L] quotients, so agreement between the two
 backends on the parallel lemma instances is a meaningful cross-check.
+No element set of SL(2, Z/n) is built: its order, and the order of each
+kernel of reduction, come from the index formula, and only the Dimino
+closures enumerate elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
-from .closure import DEFAULT_ELEMENT_CAP, UndecidedError, generated_closure
+from .closure import DEFAULT_ELEMENT_CAP, UndecidedError
 from .closure import normal_closure as _normal_closure, subgroup
 from .golden_ring import factor
 
@@ -28,15 +30,12 @@ def _make_mult(n: int):
 
 @dataclass(frozen=True)
 class IntQuotient:
-    """SL(2, Z/n) with its generators T = (1 1; 0 1) and S = (0 1; -1 0)."""
+    """SL(2, Z/n) as its order and its arithmetic, with the generators
+    T = (1 1; 0 1) and S = (0 1; -1 0)."""
 
     n: int
-    elements: frozenset[Key]
+    order: int
     _mult: object = field(repr=False, compare=False)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
     @property
     def identity(self) -> Key:
@@ -57,22 +56,17 @@ class IntQuotient:
         return self.mat(0, 1, -1, 0)
 
 
-@lru_cache(maxsize=64)
 def build_sl2_quotient(n: int) -> IntQuotient:
+    """SL(2, Z/n), the image of SL(2, Z) (onto, so S and T generate it)."""
     if n < 1:
         raise ValueError("modulus must be positive")
     order = n ** 3  # |SL(2, Z/n)| = n^3 prod over primes p | n of (1 - p^-2)
     for p in factor(n):
         order = order // (p * p) * (p * p - 1)
-    if order > DEFAULT_ELEMENT_CAP:  # the enumeration would not finish
+    if order > DEFAULT_ELEMENT_CAP:  # bounds the closures inside it
         raise UndecidedError(f"SL(2, Z/{n}) has {order} elements, above the "
                              f"element cap of {DEFAULT_ELEMENT_CAP}")
-    mult = _make_mult(n)
-    ident = (1 % n, 0, 0, 1 % n)
-    gens = [(1 % n, 1 % n, 0, 1 % n), (0, 1 % n, (-1) % n, 0)]
-    actions = [lambda x, g=g: mult(x, g) for g in gens]
-    elements = frozenset(generated_closure(ident, actions))
-    return IntQuotient(n, elements, mult)
+    return IntQuotient(n, order, _make_mult(n))
 
 
 def _subgroup_closure(q: IntQuotient, seeds) -> frozenset[Key]:
@@ -97,13 +91,11 @@ def _pow(q: IntQuotient, x: Key, k: int) -> Key:
 
 
 def reduction_kernel_order(big: int, small: int) -> int:
-    """|Gamma(small)/Gamma(big)| measured inside SL(2, Z/big)."""
+    """|Gamma(small)/Gamma(big)|, the kernel of SL(2, Z/big) -> SL(2, Z/small):
+    reduction is onto, so it is the quotient of the two orders."""
     if big % small:
         raise ValueError("moduli must be nested")
-    q = build_sl2_quotient(big)
-    kernel = [x for x in q.elements
-              if all(v % small == w % small for v, w in zip(x, (1, 0, 0, 1)))]
-    return len(kernel)
+    return build_sl2_quotient(big).order // build_sl2_quotient(small).order
 
 
 def check_lemma_d1(p: int) -> bool:

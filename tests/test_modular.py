@@ -1,11 +1,16 @@
+import sys
+from functools import lru_cache
 from itertools import product
 
 import pytest
 
+from hecke5 import closure
+from hecke5.closure import generated_closure
 from hecke5.modular_oracle import (
     build_sl2_quotient, check_d2_generators, check_lemma_d1, check_lemma_d2,
     check_wohlfahrt_instance, d2_closure_order, reduction_kernel_order,
 )
+from hecke5.verify import run_check
 
 
 def brute_force_order(n):
@@ -19,6 +24,54 @@ def brute_force_order(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_group_order_matches_brute_force(n):
     assert build_sl2_quotient(n).order == brute_force_order(n)
+
+
+@lru_cache(maxsize=None)
+def sl2_by_bfs(n):
+    """SL(2, Z/n) as the orbit of I under right multiplication by T and S."""
+    q = build_sl2_quotient(n)
+    return frozenset(generated_closure(
+        q.identity, [lambda x, g=g: q.mult(x, g) for g in (q.gen_t, q.gen_s)]))
+
+
+def kernel_by_filter(big, small):
+    """The kernel of reduction by its definition: the elements of
+    SL(2, Z/big) that are I mod small."""
+    return sum(1 for x in sl2_by_bfs(big)
+               if all(v % small == w % small for v, w in zip(x, (1, 0, 0, 1))))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_order_formula_matches_bfs(n):
+    assert len(sl2_by_bfs(n)) == build_sl2_quotient(n).order
+
+
+@pytest.mark.parametrize("big", range(1, 17))
+def test_kernel_orders_match_the_filter(big):
+    for small in range(1, big + 1):
+        if big % small == 0:
+            assert reduction_kernel_order(big, small) == kernel_by_filter(
+                big, small), (big, small)
+
+
+def test_oracle_builds_no_element_set(monkeypatch):
+    """Orders and kernel orders come from the index formula: only the
+    Dimino closures enumerate elements, never a BFS of SL(2, Z/n)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle enumerated SL(2, Z/n)")
+
+    holders = [m for name, m in sys.modules.items()
+               if name.split(".")[0] == "hecke5"
+               and getattr(m, "generated_closure", None)
+               is closure.generated_closure]
+    assert closure in holders
+    for module in holders:
+        monkeypatch.setattr(module, "generated_closure", refuse)
+    for check_id in ("D1", "D2", "W"):
+        assert all(r.passed for r in run_check(check_id)), check_id
+    for r, s in [(5, 12), (3, 16), (5, 8), (7, 6)]:
+        assert check_wohlfahrt_instance(r, s), (r, s)
+    assert check_d2_generators(4, 2)
 
 
 def test_known_orders():
