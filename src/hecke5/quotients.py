@@ -17,12 +17,13 @@ import struct
 import tempfile
 from array import array
 from collections import Counter
+from collections.abc import Iterator, Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Callable
+from typing import AbstractSet, Callable
 
 from .closure import (
     DEFAULT_ELEMENT_CAP, UndecidedError, _cap_reached, element_order, subgroup,
@@ -100,7 +101,7 @@ class QuotientGroup:
         element is built, above the element cap."""
         if self.order > self.element_cap:
             raise _cap_reached(self.element_cap)
-        return _kernel(self, Modulus.rational(1))
+        return frozenset(_kernel(self, Modulus.rational(1)))
 
     @property
     def gen_S(self) -> Key:
@@ -141,7 +142,7 @@ class QuotientGroup:
 @dataclass(frozen=True)
 class SubgroupHandle:
     parent: QuotientGroup
-    members: frozenset[Key]
+    members: AbstractSet[Key]
     seeds: tuple[Key, ...] = ()
 
     @property
@@ -328,16 +329,46 @@ def kernel_subgroup(q: QuotientGroup, m: Modulus) -> SubgroupHandle:
     """Elements of q congruent to I (homogeneous) or +-I (projective) mod m.
 
     Reduction onto Q(m) is onto, so there are |Q| / |Q(m)| of them:
-    undecided, before any is built, above the element cap."""
+    undecided above the element cap, and none built until one is asked for
+    (see `_KernelMembers`)."""
     if not m.divides(q.modulus):
         raise ValueError(f"{m} does not divide {q.modulus}")
-    qm = build_quotient(m, q.projective, q.element_cap)
-    if q.order // qm.order > q.element_cap:
+    size = q.order // build_quotient(m, q.projective, q.element_cap).order
+    if size > q.element_cap:
         raise _cap_reached(q.element_cap)
-    return SubgroupHandle(q, _kernel(q, m))
+    return SubgroupHandle(q, _KernelMembers(q, m, size))
 
 
-def _kernel(q: QuotientGroup, m: Modulus) -> frozenset[Key]:
+class _KernelMembers(Set):
+    """A kernel's members, known by their number.  They are enumerated
+    (`_kernel`) when iterated, and kept as a frozenset from the first `in`
+    on.  The `Set` comparisons test the lengths first, so a kernel compared
+    with a set of another size is never enumerated."""
+
+    def __init__(self, q: QuotientGroup, m: Modulus, size: int):
+        self._q, self._m, self._size = q, m, size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[Key]:
+        return _kernel(self._q, self._m)
+
+    def __contains__(self, x) -> bool:
+        return x in self._set
+
+    @cached_property
+    def _set(self) -> frozenset[Key]:
+        return frozenset(self)
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset[Key]:
+        # `Set` builds the results of &, |, - and ^ with this; the
+        # constructor here takes no iterable
+        return frozenset(it)
+
+
+def _kernel(q: QuotientGroup, m: Modulus) -> Iterator[Key]:
     """The (1 0; u 1) t = (a b; ua+c ub+d) of `_row_orbit` that are (+-)I mod
     m: t's row is (+-)(1, 0) and ua+c = 0, so ub+d = a by det = 1.  Each
     keeps t's row, so its key is already `_signed`."""
@@ -347,11 +378,10 @@ def _kernel(q: QuotientGroup, m: Modulus) -> frozenset[Key]:
     zero, one = small.index(0, 0), small.index(1, 0)
     ones = {one, small.neg[one]} if q.projective else {one}
     reps, shifts = q._orbit
-    return frozenset(
-        (a, b, add[c][mul[u][a]], add[d][mul[u][b]])
-        for a, b, c, d in reps if down[a] in ones and down[b] == zero
-        for want in [small.neg[small.mul[down[c]][down[a]]]]  # u = -c/a
-        for u in shifts if down[u] == want)
+    return ((a, b, add[c][mul[u][a]], add[d][mul[u][b]])
+            for a, b, c, d in reps if down[a] in ones and down[b] == zero
+            for want in [small.neg[small.mul[down[c]][down[a]]]]  # u = -c/a
+            for u in shifts if down[u] == want)
 
 
 def check_elementary_abelian(h: SubgroupHandle, p: int) -> bool:

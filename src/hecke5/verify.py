@@ -54,7 +54,10 @@ def check_index_formula(a: str) -> CheckResult:
 
 
 def check_delta_grid(m: int, p: int) -> CheckResult:
-    """Six translation-conjugate generators mod mp: elementary abelian p^6."""
+    """Six translation-conjugate generators mod mp: elementary abelian p^6,
+    for p | m (and 4 | m when p = 2)."""
+    if m % p or (p == 2 and m % 4):
+        raise ValueError("p must divide m, and 4 must divide m when p = 2")
     amb = build_quotient(Modulus.rational(m * p), projective=True)
     if any(q % 2 for q in factor(m)):  # m has an odd prime factor
         gens = delta_m(m)

@@ -64,6 +64,19 @@ def test_criterion_3_delta_grid():
                    for r in results))
 
 
+@pytest.mark.parametrize("m,p", [(m, p) for p in (2, 3, 5)
+                                 for m in range(1, 9) if m * p <= 30])
+def test_delta_grid_outside_its_domain(m, p):
+    """Lemma 2.2 needs p | m, and 4 | m when p = 2.  Of these 22 cases it
+    holds in the 5 inside that domain and fails in the other 17, which
+    are input errors."""
+    if (m, p) in {(4, 2), (8, 2), (3, 3), (6, 3), (5, 5)}:
+        assert run_check("2.2", m=m, p=p)[0].passed
+    else:
+        with pytest.raises(ValueError, match="p must divide m"):
+            run_check("2.2", m=m, p=p)
+
+
 def test_criterion_4_normal_closures():
     cases = []  # (modulus, seed word, expected closure order)
     for n, seed, expected in [(4, "T^2", 16), (8, "T^2", 1024), (8, "T^4", 32),

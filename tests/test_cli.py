@@ -185,13 +185,20 @@ class TestVerify:
         assert "unrecognized arguments: --element-cap" in capsys.readouterr().err
 
     def test_element_cap_is_undecided(self, capsys, low_element_cap):
-        # the delta generators generate 58800 elements mod 7
-        code, out, err = invoke(capsys, "verify", "--lemma", "2.2",
-                                "--m", "1", "--p", "7")
+        # the normal closure of T mod 7 is all 58800 elements of Q(7)
+        code, out, err = invoke(capsys, "verify", "--lemma", "3.3",
+                                "--m", "1", "--n", "7")
         assert code == 2
         assert out == ""
         assert err == (f"undecided: closure reached the element cap of "
                        f"{low_element_cap}\n")
+
+    def test_outside_the_domain_is_an_input_error(self, capsys):
+        code, out, err = invoke(capsys, "verify", "--lemma", "2.2",
+                                "--m", "2", "--p", "2")
+        assert (code, out) == (1, "")
+        assert err == ("error: p must divide m, and 4 must divide m "
+                       "when p = 2\n")
 
     def test_known_order_is_undecided_at_once(self, capsys):
         start = time.perf_counter()

@@ -1,11 +1,12 @@
 import hashlib
+import operator
 import os
 import random
 import stat
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hecke5.closure import generated_closure
 from hecke5.golden_ring import GoldenInt, Modulus, RAMIFIED_PRIME, ring_tables
@@ -189,7 +190,13 @@ def test_kernels_from_the_orbit_match_the_filter(mod, divisors, projective):
     group = build_quotient(mod, projective)
     for d in divisors:
         k = kernel_subgroup(group, d)
-        assert k.members == kernel_by_filter(group, d), d
+        want = kernel_by_filter(group, d)
+        assert k.members == want, d
+        # `==` takes the length from the orders: the enumeration itself
+        # must yield every member, once
+        enumerated = frozenset(k.members)
+        assert enumerated == want, d
+        assert len(enumerated) == len(k.members), d
         assert k.order * build_quotient(d, projective).order == group.order
 
 
@@ -202,6 +209,56 @@ def test_kernel_above_the_cap_is_undecided_before_it_is_built():
     with pytest.raises(UndecidedError, match="element cap of 2000000"):
         kernel_subgroup(group, Modulus.rational(1))
     assert "elements" not in vars(group)
+
+
+@pytest.mark.parametrize("seed,levels", [("T^4", []), ("T^2", [2])])
+def test_kernels_of_another_order_are_not_enumerated(
+        monkeypatch, empty_memo, seed, levels):
+    """What `hecke5 closure --mod 16` does, without its order test: a
+    kernel is enumerated only when its order is the closure's."""
+    runs = []
+
+    def spy(q, m):
+        runs.append(m.d1)
+        return kernel(q, m)
+
+    kernel = quotients._kernel
+    monkeypatch.setattr(quotients, "_kernel", spy)
+    group = q(16)
+    h = normal_closure(group, [eval_word(parse_word(seed))])
+    divisors = [1, 2, 4, 8, 16]
+    matches = [d for d in divisors
+               if kernel_subgroup(group, Modulus.rational(d)).members
+               == h.members]
+    assert matches == levels
+    assert runs == [d for d in divisors
+                    if group.order // q(d).order == h.order]
+    assert "elements" not in vars(group)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.booleans(), st.data())
+def test_kernel_members_compare_as_a_frozenset(n, projective, data):
+    """A kernel of Q(n) against another kernel of Q(n) as a frozenset,
+    perhaps with one member taken out or T put in; kernels of at most
+    20,000 elements, so that each example takes a fraction of a second."""
+    group = q(n, projective)
+    levels = st.sampled_from([Modulus.rational(k) for k in range(1, n + 1)
+                              if n % k == 0 and group.order // q(k, projective)
+                              .order <= 20_000])
+    d, e = data.draw(levels), data.draw(levels)
+    other = frozenset(kernel_subgroup(group, e).members)
+    change = data.draw(st.sampled_from(["none", "drop", "add"]))
+    if change == "drop":
+        other -= {min(other)}
+    elif change == "add" and e.d1 > 1:  # T's corner L is a unit: not 0 mod e
+        other |= {group.gen_T}
+    as_set = frozenset(kernel_subgroup(group, d).members)
+    for op in (operator.eq, operator.lt, operator.le, operator.ge,
+               operator.and_, operator.sub):
+        # a new handle for each operation: nothing enumerated beforehand
+        assert op(kernel_subgroup(group, d).members, other) == op(as_set, other)
+        assert op(other, kernel_subgroup(group, d).members) == op(other, as_set)
 
 
 class TestNormalClosures:
