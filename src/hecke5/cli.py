@@ -90,21 +90,16 @@ def cmd_quotient(args) -> int:
 
 def cmd_closure(args) -> int:
     mod = _modulus(args)
-    kw = _quotient_kwargs(args)
-    q = build_quotient(mod, projective=True, **kw)
+    q = build_quotient(mod, projective=True, **_quotient_kwargs(args))
     seed = eval_word(parse_word(args.seed))
     h = normal_closure(q, [seed])
-    # d is a kernel level iff h is the kernel of Q(M) -> Q(d), whose order
-    # is |Q(M)| / |Q(d)| as reduction is onto: that test builds no element.
+    # d is a kernel level iff h is the kernel of Q(M) -> Q(d); a kernel's
+    # members compare by their number first, so only one of h's order is built
     matches = []
     if mod.c == 0 and mod.d1 == mod.d2:  # (M) = (n) for a rational n
         n = mod.d1
-        for d in [k for k in range(1, n + 1) if n % k == 0]:
-            level = Modulus.rational(d)
-            qd = build_quotient(level, projective=True, **kw)
-            if (h.order * qd.order == q.order
-                    and kernel_subgroup(q, level).members == h.members):
-                matches.append(d)
+        matches = [d for d in range(1, n + 1) if n % d == 0 and
+                   kernel_subgroup(q, Modulus.rational(d)).members == h.members]
     rec = {"record": "closure", "modulus": str(mod), "seed": args.seed,
            "order": h.order, "kernel_levels": matches}
     items = [(rec, f"normal closure of {args.seed} mod {mod}: order {h.order}")]

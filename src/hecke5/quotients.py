@@ -97,11 +97,8 @@ class QuotientGroup:
 
     @cached_property
     def elements(self) -> frozenset[Key]:
-        """All of Q, the kernel of reduction mod 1.  Undecided, before any
-        element is built, above the element cap."""
-        if self.order > self.element_cap:
-            raise _cap_reached(self.element_cap)
-        return frozenset(_kernel(self, Modulus.rational(1)))
+        """All of Q, the kernel of reduction mod 1."""
+        return _kernel(self, Modulus.rational(1), self.order)
 
     @property
     def gen_S(self) -> Key:
@@ -328,22 +325,19 @@ def _as_key(q: QuotientGroup, seed) -> Key:
 def kernel_subgroup(q: QuotientGroup, m: Modulus) -> SubgroupHandle:
     """Elements of q congruent to I (homogeneous) or +-I (projective) mod m.
 
-    Reduction onto Q(m) is onto, so there are |Q| / |Q(m)| of them:
-    undecided above the element cap, and none built until one is asked for
-    (see `_KernelMembers`)."""
+    Reduction onto Q(m) is onto, so there are |Q| / |Q(m)| of them, known
+    before any is built (see `_KernelMembers`)."""
     if not m.divides(q.modulus):
         raise ValueError(f"{m} does not divide {q.modulus}")
     size = q.order // build_quotient(m, q.projective, q.element_cap).order
-    if size > q.element_cap:
-        raise _cap_reached(q.element_cap)
     return SubgroupHandle(q, _KernelMembers(q, m, size))
 
 
 class _KernelMembers(Set):
-    """A kernel's members, known by their number.  They are enumerated
-    (`_kernel`) when iterated, and kept as a frozenset from the first `in`
-    on.  The `Set` comparisons test the lengths first, so a kernel compared
-    with a set of another size is never enumerated."""
+    """A kernel's members, known by their number.  `_kernel` enumerates them
+    on the first iteration or `in`, once.  The `Set` comparisons test the
+    lengths first, so a kernel compared with a set of another size is never
+    enumerated, nor refused above the element cap."""
 
     def __init__(self, q: QuotientGroup, m: Modulus, size: int):
         self._q, self._m, self._size = q, m, size
@@ -352,14 +346,14 @@ class _KernelMembers(Set):
         return self._size
 
     def __iter__(self) -> Iterator[Key]:
-        return _kernel(self._q, self._m)
+        return iter(self._set)
 
     def __contains__(self, x) -> bool:
         return x in self._set
 
     @cached_property
     def _set(self) -> frozenset[Key]:
-        return frozenset(self)
+        return _kernel(self._q, self._m, self._size)
 
     @classmethod
     def _from_iterable(cls, it) -> frozenset[Key]:
@@ -368,20 +362,24 @@ class _KernelMembers(Set):
         return frozenset(it)
 
 
-def _kernel(q: QuotientGroup, m: Modulus) -> Iterator[Key]:
-    """The (1 0; u 1) t = (a b; ua+c ub+d) of `_row_orbit` that are (+-)I mod
-    m: t's row is (+-)(1, 0) and ua+c = 0, so ub+d = a by det = 1.  Each
-    keeps t's row, so its key is already `_signed`."""
+def _kernel(q: QuotientGroup, m: Modulus, size: int) -> frozenset[Key]:
+    """The `size` (1 0; u 1) t = (a b; ua+c ub+d) of `_row_orbit` that are
+    (+-)I mod m, undecided before any is built above the element cap: t's
+    row is (+-)(1, 0) and ua+c = 0, so ub+d = a by det = 1.  Each keeps t's
+    row, so its key is already `_signed`."""
+    if size > q.element_cap:
+        raise _cap_reached(q.element_cap)
     big, small = ring_tables(q.modulus), ring_tables(m)
     add, mul = big.add, big.mul
     down = [small.index(*big.pair(i)) for i in range(q.modulus.ring_size)]
     zero, one = small.index(0, 0), small.index(1, 0)
     ones = {one, small.neg[one]} if q.projective else {one}
     reps, shifts = q._orbit
-    return ((a, b, add[c][mul[u][a]], add[d][mul[u][b]])
-            for a, b, c, d in reps if down[a] in ones and down[b] == zero
-            for want in [small.neg[small.mul[down[c]][down[a]]]]  # u = -c/a
-            for u in shifts if down[u] == want)
+    return frozenset(
+        (a, b, add[c][mul[u][a]], add[d][mul[u][b]])
+        for a, b, c, d in reps if down[a] in ones and down[b] == zero
+        for want in [small.neg[small.mul[down[c]][down[a]]]]  # u = -c/a
+        for u in shifts if down[u] == want)
 
 
 def check_elementary_abelian(h: SubgroupHandle, p: int) -> bool:

@@ -149,6 +149,16 @@ class TestClosure:
         assert code == 0
         assert "order 7500" in out
 
+    def test_kernel_above_the_cap_compares_by_its_order(self, capsys):
+        # the kernel mod 1 is all 655360 elements of Q(16), above the cap;
+        # it differs from the closure in order, so nothing is refused
+        code, out, _ = invoke(capsys, "closure", "--mod", "16", "--seed",
+                              "T^2", "--element-cap", "200000", "--format",
+                              "json", "--no-cache")
+        assert code == 0
+        rec = json.loads(out.strip().splitlines()[1])
+        assert (rec["order"], rec["kernel_levels"]) == (65536, [2])
+
     def test_ideal_gets_kernel_levels(self, capsys):
         outs = [invoke(capsys, "closure", option, "4", "--seed", "T^2",
                        "--format", "json", "--no-cache")[1].splitlines()[1]

@@ -202,25 +202,30 @@ def test_kernels_from_the_orbit_match_the_filter(mod, divisors, projective):
 
 def test_kernel_above_the_cap_is_undecided_before_it_is_built():
     """|Q(19)| is about 23M: the kernel mod 19 is trivial, and the kernel
-    mod 1, all of Q(19), is refused from the orders alone."""
+    mod 1, all of Q(19), is known by its order and refused, from the
+    orders alone, when it is iterated or searched."""
     group = q(19)
     assert kernel_subgroup(group, Modulus.rational(19)).members == {
         group.identity}
-    with pytest.raises(UndecidedError, match="element cap of 2000000"):
-        kernel_subgroup(group, Modulus.rational(1))
+    whole = kernel_subgroup(group, Modulus.rational(1)).members
+    assert len(whole) == group.order
+    assert whole != {group.identity}
+    for use in (iter, lambda k: group.identity in k):
+        with pytest.raises(UndecidedError, match="element cap of 2000000"):
+            use(whole)
     assert "elements" not in vars(group)
 
 
 @pytest.mark.parametrize("seed,levels", [("T^4", []), ("T^2", [2])])
 def test_kernels_of_another_order_are_not_enumerated(
         monkeypatch, empty_memo, seed, levels):
-    """What `hecke5 closure --mod 16` does, without its order test: a
-    kernel is enumerated only when its order is the closure's."""
+    """What `hecke5 closure --mod 16` does: a kernel is enumerated only
+    when its order is the closure's."""
     runs = []
 
-    def spy(q, m):
+    def spy(q, m, size):
         runs.append(m.d1)
-        return kernel(q, m)
+        return kernel(q, m, size)
 
     kernel = quotients._kernel
     monkeypatch.setattr(quotients, "_kernel", spy)
