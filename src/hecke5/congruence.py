@@ -21,7 +21,7 @@ from . import __version__
 from .closure import DEFAULT_ELEMENT_CAP, UndecidedError
 from .golden_ring import GoldenInt, Modulus, classify_rational_prime, factor
 from .hecke_matrices import Word, word
-from .quotients import _ambient, _generator_actions, build_quotient
+from .quotients import _ambient, _generator_actions, quotient_order
 
 DEFAULT_COSET_CAP = 5_000
 MAX_CENSUS_INDEX = 12
@@ -273,7 +273,7 @@ def is_congruence(generators: list[Word],
         table = coset_table(generators)
     index = table.degree
     m, big, level = levels(table)
-    qo = build_quotient(Modulus.rational(big)).order
+    qo = quotient_order(Modulus.rational(big))
     if level is not None:
         return CongruenceReport(index, m, big, qo, qo // index, "congruence",
                                 str(level))
@@ -291,7 +291,7 @@ def _conflicts(t: CosetTable, d: Modulus):
     K*g*w = K*w iff g is in K.  Each edge off the walk's spanning tree is a
     Schreier generator of G(d), so checking every edge is complete.
     """
-    ambient = _ambient(d, True, DEFAULT_ELEMENT_CAP)  # unmemoised
+    ambient = _ambient(d, True, DEFAULT_ELEMENT_CAP)
     cap, identity = ambient.element_cap, ambient.identity
     actions = list(zip(_generator_actions(d, True), (t.perm_s, t.perm_t)))
     label = {identity: 0}

@@ -2,11 +2,12 @@
 
 A quotient is the group generated by the images of S and T in the ring of
 2x2 residue matrices mod a `Modulus`, either homogeneously or with +-I
-identified.  Its order is row orbit x stabilizer: the orbit of (1, 0) times
-the lower unitriangular matrices that fix that row.  Its elements, built
-from the same two lists on first use only, are 4-tuples of residue indices
-(one per entry, see `RingTables`): they hash cheaply, compare like the
-entries' canonical (a, b) pairs, and multiply by table lookups.
+identified.  Its order is in closed form (`quotient_order`).  Its elements
+and its kernels of reduction are enumerated, on first use only, from the
+row orbit: the orbit of (1, 0) times the lower unitriangular matrices that
+fix that row.  Elements are 4-tuples of residue indices (one per entry, see
+`RingTables`): they hash cheaply, compare like the entries' canonical
+(a, b) pairs, and multiply by table lookups.
 """
 
 from __future__ import annotations
@@ -79,8 +80,9 @@ def _generator_actions(modulus: Modulus,
 
 @dataclass(frozen=True)
 class QuotientGroup:
-    """Q(modulus): its arithmetic at once, its order from the row orbit
-    (see `_row_orbit`, walked once) and its elements on first use."""
+    """Q(modulus): its arithmetic at once, its order in closed form, and
+    its row orbit (see `_row_orbit`, walked once) and elements on first
+    use."""
 
     modulus: Modulus
     projective: bool
@@ -93,7 +95,7 @@ class QuotientGroup:
 
     @property
     def order(self) -> int:
-        return len(self._orbit[0]) * len(self._orbit[1])
+        return quotient_order(self.modulus, self.projective)
 
     @cached_property
     def elements(self) -> frozenset[Key]:
@@ -148,55 +150,41 @@ class SubgroupHandle:
 
 
 def _ambient(modulus: Modulus, projective: bool, element_cap: int) -> QuotientGroup:
-    """The quotient's handle, unmemoised, with only the residue tables
-    enumerated: `add` and `mul` have ring_size**2 entries each, built one
-    at a time, and they count against the element cap."""
+    """The quotient's handle, with only the residue tables enumerated: `add`
+    and `mul` have ring_size**2 entries each, built one at a time, and they
+    count against the element cap."""
     if element_cap < 1:
         raise ValueError(f"element cap must be at least 1, not {element_cap}")
+    _refuse_tables(modulus, element_cap)
+    return QuotientGroup(modulus, projective, element_cap,
+                         _make_mult(modulus, projective))
+
+
+def _refuse_tables(modulus: Modulus, element_cap: int) -> None:
+    """Undecided if ring_size**2 entries twice over pass the element cap."""
     entries = 2 * modulus.ring_size ** 2
     if entries > element_cap:
         raise UndecidedError(f"residue tables mod {modulus} need {entries} "
                              f"entries, above the element cap of {element_cap}")
-    return QuotientGroup(modulus, projective, element_cap,
-                         _make_mult(modulus, projective))
 
 
 def build_quotient(modulus: Modulus, projective: bool = True,
                    element_cap: int = DEFAULT_ELEMENT_CAP,
                    cache_dir: str | Path | None = None) -> QuotientGroup:
-    """The image of {S, T} mod `modulus`, memoised per process.
+    """The image of {S, T} mod `modulus`.
 
-    The memo is keyed by modulus, projectivity and the cap; `cache_dir`
-    only matters on a miss.  Then the row orbit is read from its file if
-    that loads, else walked and written.  A file that does not load (bad
-    magic, truncated) counts as missing and is rewritten.  A memo hit
-    touches no file.  At each call the memo drops its least recently used
-    quotients while they hold more than DEFAULT_ELEMENT_CAP built elements
-    in all; the newest one always stays.
+    With `cache_dir`, the row orbit is read from its file if that loads,
+    else walked and written.  A file that does not load (bad magic,
+    truncated) counts as missing and is rewritten.
     """
-    key = (modulus, projective, element_cap)
-    q = _memo.pop(key, None)
-    if q is None:
-        q = _ambient(modulus, projective, element_cap)
-        if cache_dir is not None:
-            path = Path(cache_dir) / _cache_name(modulus, projective)
-            try:
-                _load_quotient(path, q)
-            except (FileNotFoundError, ValueError, struct.error):
-                _save_quotient(q, path)  # no file, or one that does not load
-    _memo[key] = q  # re-inserted last: the dict's order is least recent first
-    held = sum(map(_built, _memo.values()))
-    while held > DEFAULT_ELEMENT_CAP and len(_memo) > 1:
-        held -= _built(_memo.pop(next(iter(_memo))))
+    q = _ambient(modulus, projective, element_cap)
+    if cache_dir is not None:
+        path = Path(cache_dir) / _cache_name(modulus, projective)
+        try:
+            _load_quotient(path, q)
+        except (FileNotFoundError, ValueError, struct.error):
+            _save_quotient(q, path)  # no file, or one that does not load
     return q
-
-
-_memo: dict[tuple, QuotientGroup] = {}
-
-
-def _built(q: QuotientGroup) -> int:
-    """How many elements q holds: none until `elements` is first read."""
-    return len(vars(q).get("elements", ()))
 
 
 def _row_orbit(modulus: Modulus,
@@ -253,7 +241,7 @@ _CACHE_MAGIC = b"HQC3"
 
 def _cache_name(modulus: Modulus, projective: bool) -> str:
     # the ideal's HNF, not its generator or `kind`: equal moduli share one
-    # file, as they share one memo entry
+    # file
     tag = f"v3|{modulus.d1},{modulus.c},{modulus.d2}|{int(projective)}"
     return hashlib.sha256(tag.encode()).hexdigest()[:20] + ".quot"
 
@@ -329,7 +317,7 @@ def kernel_subgroup(q: QuotientGroup, m: Modulus) -> SubgroupHandle:
     before any is built (see `_KernelMembers`)."""
     if not m.divides(q.modulus):
         raise ValueError(f"{m} does not divide {q.modulus}")
-    size = q.order // build_quotient(m, q.projective, q.element_cap).order
+    size = q.order // quotient_order(m, q.projective)
     return SubgroupHandle(q, _KernelMembers(q, m, size))
 
 
@@ -366,7 +354,8 @@ def _kernel(q: QuotientGroup, m: Modulus, size: int) -> frozenset[Key]:
     """The `size` (1 0; u 1) t = (a b; ua+c ub+d) of `_row_orbit` that are
     (+-)I mod m, undecided before any is built above the element cap: t's
     row is (+-)(1, 0) and ua+c = 0, so ub+d = a by det = 1.  Each keeps t's
-    row, so its key is already `_signed`."""
+    row, so its key is already `_signed`.  The orbit is independent of
+    `quotient_order`, which gives `size`: a different count is an error."""
     if size > q.element_cap:
         raise _cap_reached(q.element_cap)
     big, small = ring_tables(q.modulus), ring_tables(m)
@@ -375,11 +364,15 @@ def _kernel(q: QuotientGroup, m: Modulus, size: int) -> frozenset[Key]:
     zero, one = small.index(0, 0), small.index(1, 0)
     ones = {one, small.neg[one]} if q.projective else {one}
     reps, shifts = q._orbit
-    return frozenset(
+    members = frozenset(
         (a, b, add[c][mul[u][a]], add[d][mul[u][b]])
         for a, b, c, d in reps if down[a] in ones and down[b] == zero
         for want in [small.neg[small.mul[down[c]][down[a]]]]  # u = -c/a
         for u in shifts if down[u] == want)
+    if len(members) != size:
+        raise ArithmeticError(f"the kernel of Q({q.modulus}) mod {m} has "
+                              f"{len(members)} members, not {size}")
+    return members
 
 
 def check_elementary_abelian(h: SubgroupHandle, p: int) -> bool:
@@ -425,6 +418,67 @@ def sl_index_formula(a: Modulus) -> int:
     if value.denominator != 1:
         raise ArithmeticError(f"index formula for {a} is not integral")
     return value.numerator
+
+
+def quotient_order(modulus: Modulus, projective: bool = True) -> int:
+    """|Q(A)| = |SL(2, O/A)| / (c2 c3), halved when projective unless A | (2).
+
+    Here O = Z[L], c2 is 1, 6 or 12 as (2) does not divide A, (2) || A or
+    (4) | A, and c3 is 1 or 6 as (3) does not divide A or does.  Qh(A) is
+    the homogeneous image, and p the rational prime below a prime P.
+
+    - Projective.  S^2 = -I is in Qh(A), so Q(A) = Qh(A) / {+-I} has half
+      its order unless -I = I, that is A | (2).
+    - Primes P other than (2) and (3).  Mod P, T = (1 L; 0 1) and
+      S T S^-1 = (1 0; -L 1) are transvections whose parameters multiply
+      to -L^2, which generates O/P.  So Qh(P) = SL(2, O/P) by Dickson's
+      lemma (Gorenstein, Finite Groups, 2.8.4): p is odd, and O/P is not
+      F_9, as (3) is the one prime over 3.
+    - (2) and (3).  Mod 2, S and T are involutions and ST has order 5:
+      Qh(2) is dihedral of order 10, index 6 in SL(2, 4).  Mod 3 the image
+      is Dickson's exception, SL(2, 5) of order 120, index 6 in SL(2, 9).
+    - Powers.  The kernel of SL(2, O/P^(k+1)) -> SL(2, O/P^k), k >= 1, is
+      sl2(O/P) under addition.  For P = (p) the paper's lemma 2.2 puts all
+      of it in Qh, except from (2) to (4), where lemma 2.3 at pi = 1 gives
+      2^5 of its 2^6 elements: c2 goes from 6 to 12, and c3 stays 6.  For
+      a split P, or the ramified (2+L), Qh meets the kernel in an F_p-space
+      that SL(2, O/P) conjugates to itself.  That module is irreducible, so
+      one element of the meet brings in all of it: T^p = (1 pL; 0 1) at
+      k = 1 when p is prime at P, (T^2 S)^3 from (2+L) to (5), and for
+      k >= 2 the commutator of lifts of I + x e and I + x^(k-1) f, which
+      is I + x^k h (x prime at P; e, f, h the usual basis of sl2).
+    - Products, which lemma 2.4 states for rational moduli.  For coprime A
+      and B, by Goursat's lemma Qh(AB) is all of Qh(A) x Qh(B) unless both
+      map onto one group Y != 1, S to S and T to T.  Take Y simple, A = P^k
+      and, by induction, Qh(B) the product of its prime-power parts.
+      Y cyclic: Qh(P^k) is perfect for P other than (2) and (3) (SL(2) over
+      a local ring with more than 3 residues), while Qh(2^k) and Qh(3^k)
+      extend Qh(2) (abelianized: C2) and the perfect SL(2, 5) by 2- and
+      3-groups.  So no prime order is common to both sides.  Y non-abelian:
+      the Qh(2^k) are solvable, and otherwise Y is a Q(P) on each side,
+      PSL(2, O/P) or A5 at (3).  Two of those are isomorphic only at (3)
+      and (2+L), where T has orders 3 and 5 in A5, or at the two primes
+      over a split p.  There an isomorphism would be conjugation in
+      PGL(2, p), which keeps traces up to sign; but tr ST = -L is -r at
+      one prime and r - 1 at the other, with r^2 = r + 1 mod p, and
+      r - 1 is not +-r for p != 5.
+
+    `orbit_order` counts the same orders independently, and every
+    enumeration by `_kernel` checks against them.
+    """
+    c2 = (1 if not Modulus.rational(2).divides(modulus)
+          else 12 if Modulus.rational(4).divides(modulus) else 6)
+    c3 = 6 if Modulus.rational(3).divides(modulus) else 1
+    order = sl_index_formula(modulus) // (c2 * c3)
+    if projective and not modulus.divides(Modulus.rational(2)):
+        return order // 2
+    return order
+
+
+def orbit_order(q: QuotientGroup) -> int:
+    """|q| as its row orbit counts it: the oracle for `quotient_order`."""
+    reps, shifts = q._orbit
+    return len(reps) * len(shifts)
 
 
 def sl2_enumeration_order(m: Modulus) -> int:

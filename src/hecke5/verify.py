@@ -9,9 +9,11 @@ instance; `run_all` sweeps every default grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from operator import eq, ge
 from typing import Callable
 
+from .closure import DEFAULT_ELEMENT_CAP
 from .golden_ring import GoldenInt, Modulus, factor, parse_golden
 from . import modular_oracle as oracle
 from .hecke_matrices import (
@@ -19,9 +21,9 @@ from .hecke_matrices import (
     elementary_generators, eval_word, omega_2, word,
 )
 from .quotients import (
-    build_quotient, check_elementary_abelian, kernel_subgroup,
-    normal_closure, sl2_enumeration_order, sl_index_formula,
-    subgroup_closure,
+    _refuse_tables, build_quotient, check_elementary_abelian,
+    kernel_subgroup, normal_closure, orbit_order, sl2_enumeration_order,
+    sl_index_formula, subgroup_closure,
 )
 
 
@@ -47,6 +49,7 @@ def _result(check_id, params, passed, detail) -> CheckResult:
 
 def check_index_formula(a: str) -> CheckResult:
     mod = _parse_modulus(a)
+    _refuse_tables(mod, DEFAULT_ELEMENT_CAP)  # both counts grow with ring**2
     expected = sl_index_formula(mod)
     got = sl2_enumeration_order(mod)
     return _result("index-formula", {"a": a}, expected == got,
@@ -80,17 +83,21 @@ def check_delta_residues(m: int, p: int) -> CheckResult:
 
 
 def check_kernel_ladder(pi: str) -> CheckResult:
-    """|G(2pi)/G(4pi)| for odd pi: 16 at pi=1, else 32."""
+    """|G(2pi)/G(4pi)| for odd pi: 16 at pi=1, else 32, counted by
+    enumerating the kernel."""
     g = _parse_modulus(pi).generator
+    if g.divisible_by(2):
+        raise ValueError("pi must be odd")
     two = GoldenInt(2, 0)
     q = build_quotient(Modulus.ideal(g * two * two), projective=True)
     k = kernel_subgroup(q, Modulus.ideal(g * two))
+    size = len(frozenset(k.members))
     expected = 16 if abs(g.norm()) == 1 else 32
-    detail = f"order {k.order}, expected {expected}"
+    detail = f"order {size}, expected {expected}"
     if abs(g.norm()) == 1:
         return _result("kernel-ladder", {"pi": pi},
-                       k.order == 16 and check_elementary_abelian(k, 2), detail)
-    return _result("kernel-ladder", {"pi": pi}, k.order == expected, detail)
+                       size == 16 and check_elementary_abelian(k, 2), detail)
+    return _result("kernel-ladder", {"pi": pi}, size == expected, detail)
 
 
 def _closure_vs_kernel(check_id: str, params: dict, modulus: int, power: int,
@@ -106,6 +113,8 @@ def _closure_vs_kernel(check_id: str, params: dict, modulus: int, power: int,
 
 def check_closure_coprime(a: int, b: int) -> CheckResult:
     """N(G(ab), T^b) = G(b) for coprime a, b."""
+    if gcd(a, b) != 1:
+        raise ValueError("a and b must be coprime")
     return _closure_vs_kernel("closure-coprime", {"a": a, "b": b}, a * b, b, b, eq)
 
 
@@ -179,13 +188,14 @@ def check_level2_generators() -> CheckResult:
 
 
 def check_homogeneous_product(a: int, b: int) -> CheckResult:
-    """|H/H(ab)| = |H/H(a)| * |H/H(b)| for coprime a, b."""
-    qa = build_quotient(Modulus.rational(a), projective=False)
-    qb = build_quotient(Modulus.rational(b), projective=False)
-    qab = build_quotient(Modulus.rational(a * b), projective=False)
-    return _result("homogeneous-product", {"a": a, "b": b},
-                   qab.order == qa.order * qb.order,
-                   f"{qab.order} vs {qa.order}*{qb.order}")
+    """|H/H(ab)| = |H/H(a)| * |H/H(b)| for coprime a, b, each counted by
+    its row orbit."""
+    if gcd(a, b) != 1:
+        raise ValueError("a and b must be coprime")
+    qa, qb, qab = (orbit_order(build_quotient(Modulus.rational(n), False))
+                   for n in (a, b, a * b))
+    return _result("homogeneous-product", {"a": a, "b": b}, qab == qa * qb,
+                   f"{qab} vs {qa}*{qb}")
 
 
 def check_oracle_unipotent(p: int) -> CheckResult:

@@ -21,11 +21,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def low_element_cap(monkeypatch):
-    """Lower the default element cap to 5000: that of the closure engine,
-    the one `build_quotient` gives its quotients unless told otherwise, and
-    the memo's bound, so an input that runs into the cap gets there in a
-    fraction of a second.  The residue tables of mod 7 (2 * 49**2 = 4802
-    entries) still fit under it."""
+    """Lower the default element cap to 5000: that of the closure engine
+    and the one `build_quotient` gives its quotients unless told otherwise,
+    so an input that runs into the cap gets there in a fraction of a
+    second.  The residue tables of mod 7 (2 * 49**2 = 4802 entries) still
+    fit under it."""
     cap = 5_000
     for fn in (closure.generated_closure, closure.subgroup,
                closure.normal_closure, closure.element_order):
@@ -33,5 +33,4 @@ def low_element_cap(monkeypatch):
     # the default is bound when the function is defined: patch it as well
     monkeypatch.setattr(quotients.build_quotient, "__defaults__",
                         (True, cap, None))
-    monkeypatch.setattr(quotients, "DEFAULT_ELEMENT_CAP", cap)
     return cap

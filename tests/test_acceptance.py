@@ -1,6 +1,7 @@
 """End-to-end acceptance gate: one test (and one status line) per criterion."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -75,6 +76,33 @@ def test_delta_grid_outside_its_domain(m, p):
     else:
         with pytest.raises(ValueError, match="p must divide m"):
             run_check("2.2", m=m, p=p)
+
+
+@pytest.mark.parametrize("lemma", ["2.4", "3.2"])
+@pytest.mark.parametrize("a,b", [(a, b) for a in range(1, 5)
+                                 for b in range(1, 5)])
+def test_coprime_lemmas_outside_their_domain(lemma, a, b):
+    """Lemmas 2.4 and 3.2 need coprime a and b: they hold for each coprime
+    pair here, and the other pairs are input errors."""
+    if gcd(a, b) == 1:
+        assert run_check(lemma, a=a, b=b)[0].passed
+    else:
+        with pytest.raises(ValueError, match="a and b must be coprime"):
+            run_check(lemma, a=a, b=b)
+
+
+@pytest.mark.parametrize("pi,odd", [
+    ("1", True), ("3", True), ("5", True), ("2+L", True), ("3+L", True),
+    ("2", False), ("4", False), ("6", False), ("2*L", False),
+    ("2+2*L", False)])
+def test_kernel_ladder_outside_its_domain(pi, odd):
+    """Lemma 2.3 needs pi odd, not divisible by 2: it holds for the odd pi
+    here, and the others are input errors."""
+    if odd:
+        assert run_check("2.3", pi=pi)[0].passed
+    else:
+        with pytest.raises(ValueError, match="pi must be odd"):
+            run_check("2.3", pi=pi)
 
 
 def test_criterion_4_normal_closures():

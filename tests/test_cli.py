@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from hecke5 import cli, congruence, quotients
+from hecke5 import cli, quotients
 from hecke5.cli import main
-from hecke5.congruence import CongruenceReport
+from hecke5.congruence import CongruenceReport, is_congruence
+from hecke5.farey import parse_hfs, side_pairing
+from hecke5.hecke_matrices import decompose
 
 from test_farey import EXAMPLES
 
@@ -218,6 +220,16 @@ class TestVerify:
         assert err == ("undecided: SL(2, Z/211) has 9393720 elements, above "
                        "the element cap of 2000000\n")
 
+    def test_index_formula_above_the_cap_is_undecided_at_once(self, capsys):
+        # both counts would need ring_size**2 work: 10201**2 for (101)
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "verify", "--lemma", "2.1",
+                                "--a", "101")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == ("undecided: residue tables mod 101 need 208120802 "
+                       "entries, above the element cap of 2000000\n")
+
     def test_needs_a_selector(self, capsys):
         code, _, err = invoke(capsys, "verify")
         assert code == 1
@@ -328,14 +340,20 @@ class TestCensus:
         assert out == (Path(__file__).parent / "data" / "census_index5.txt").read_text()
 
     def test_rows_need_no_quotient(self, capsys, monkeypatch):
-        expected = invoke(capsys, "census", "--index", "6")
+        """Census rows and congruence reports walk no row orbit: their
+        quotient orders are `quotient_order`."""
+        census = invoke(capsys, "census", "--index", "6")
+        words = {name: [decompose(g) for g in side_pairing(parse_hfs(hfs))]
+                 for name, (hfs, _, _) in EXAMPLES.items()}
+        reports = {name: is_congruence(w) for name, w in words.items()}
 
-        def build_quotient(*args, **kwargs):
-            raise AssertionError("the census enumerated a quotient")
+        def row_orbit(*args, **kwargs):
+            raise AssertionError("walked the row orbit of a quotient")
 
-        monkeypatch.setattr(congruence, "build_quotient", build_quotient)
-        assert invoke(capsys, "census", "--index", "6") == expected
-        assert expected[0] == 0
+        monkeypatch.setattr(quotients, "_row_orbit", row_orbit)
+        assert invoke(capsys, "census", "--index", "6") == census
+        assert census[0] == 0
+        assert {name: is_congruence(w) for name, w in words.items()} == reports
 
     def test_rows_printed_as_decided(self, capsys, monkeypatch):
         class Stop(Exception):
@@ -369,10 +387,10 @@ class TestCensus:
 ])
 def test_element_sets_built_only_when_read(capsys, monkeypatch, tmp_path,
                                            argv, builds):
-    """Orders, kernels and the disk cache come from the row orbit; only a
-    histogram builds the element set.  Each command runs twice from an
-    empty memo: with a cache directory, once writing its file, once
-    reading it."""
+    """Orders come from `quotient_order`, kernels and the disk cache from
+    the row orbit; only a histogram builds the element set.  Each command
+    runs twice: with a cache directory, once writing its file, once reading
+    it."""
     built = []
 
     def elements(q):
@@ -385,7 +403,6 @@ def test_element_sets_built_only_when_read(capsys, monkeypatch, tmp_path,
     monkeypatch.setattr(quotients.QuotientGroup, "elements", property(elements))
     argv = [a.format(cache=tmp_path) for a in argv]
     for _ in range(2):
-        monkeypatch.setattr(quotients, "_memo", {})
         assert invoke(capsys, *argv)[0] == 0
     assert bool(built) == builds
     assert any(tmp_path.iterdir()) == ("--cache-dir" in argv)

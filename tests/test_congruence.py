@@ -310,7 +310,7 @@ def intersection_table(a, b):
 def test_divisors_carry_no_unit_factor(n, count):
     """Each ideal divisor of (n) once, and the rational ones spelled as
     rational integers: equal to their `Modulus.rational`, so they share its
-    residue tables, memo entry and cache file."""
+    residue tables and cache file."""
     mods = [Modulus.ideal(d) for d in _ideal_divisors(n)]
     assert len({(m.d1, m.c, m.d2) for m in mods}) == len(mods) == count
     rational = [m for m in mods if m.c == 0 and m.d1 == m.d2]

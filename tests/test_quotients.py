@@ -15,10 +15,12 @@ from hecke5.hecke_matrices import (
     parse_word, word,
 )
 from hecke5 import closure, congruence, quotients
+from hecke5.congruence import _ideal_divisors
 from hecke5.quotients import (
-    UndecidedError, _ambient, _cache_name, _generator_actions, _load_quotient,
-    _row_orbit, build_quotient, check_elementary_abelian, kernel_subgroup,
-    normal_closure, sl2_enumeration_order, sl_index_formula, subgroup_closure,
+    UndecidedError, _ambient, _cache_name, _generator_actions, _kernel,
+    _load_quotient, _row_orbit, build_quotient, check_elementary_abelian,
+    kernel_subgroup, normal_closure, orbit_order, quotient_order,
+    sl2_enumeration_order, sl_index_formula, subgroup_closure,
 )
 
 
@@ -216,9 +218,17 @@ def test_kernel_above_the_cap_is_undecided_before_it_is_built():
     assert "elements" not in vars(group)
 
 
+def test_kernel_of_another_size_is_an_error():
+    """An enumeration that disagrees with the size it was given, the
+    formula's, is refused: every enumerated kernel certifies the formula."""
+    with pytest.raises(ArithmeticError, match="Q\\(4\\) mod 2 has 16 members, "
+                                              "not 17"):
+        _kernel(q(4), Modulus.rational(2), 17)
+
+
 @pytest.mark.parametrize("seed,levels", [("T^4", []), ("T^2", [2])])
 def test_kernels_of_another_order_are_not_enumerated(
-        monkeypatch, empty_memo, seed, levels):
+        monkeypatch, seed, levels):
     """What `hecke5 closure --mod 16` does: a kernel is enumerated only
     when its order is the closure's."""
     runs = []
@@ -316,6 +326,23 @@ class TestIndexFormula:
         assert sl2_enumeration_order(mod) == expected
 
 
+# The ideals that divide some n <= 31 and have at most 400 residues: 36,
+# among them (3)(2+L), where Q(3) and Q(2+L) have A5 in common, and both
+# primes over 11, 19, 29 and 31.  `tests/sweep_orders.py` checks the rest.
+ORDER_MODULI = sorted({Modulus.ideal(d) for n in range(1, 32)
+                       for d in _ideal_divisors(n)
+                       if abs(d.norm()) <= 400},
+                      key=lambda m: (m.ring_size, m.d1, m.c))
+
+
+@pytest.mark.parametrize("projective", [True, False])
+@pytest.mark.parametrize("mod", ORDER_MODULI, ids=str)
+def test_order_formula_matches_the_orbit(mod, projective):
+    """`quotient_order` against the row orbit's count."""
+    assert quotient_order(mod, projective) == orbit_order(
+        build_quotient(mod, projective))
+
+
 def test_lazy_ambient_closure():
     """Q(25) has 117187500 elements, far above the cap: its closures and
     its order need none of them."""
@@ -328,13 +355,7 @@ def test_lazy_ambient_closure():
         amb.elements
 
 
-@pytest.fixture
-def empty_memo(monkeypatch):
-    """An empty quotient memo, so that the disk cache is consulted."""
-    monkeypatch.setattr(quotients, "_memo", {})
-
-
-def test_disk_cache_roundtrip(tmp_path, empty_memo):
+def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     mod = Modulus.rational(3)
     built = build_quotient(mod, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
@@ -342,72 +363,36 @@ def test_disk_cache_roundtrip(tmp_path, empty_memo):
     loaded = _ambient(mod, True, built.element_cap)
     _load_quotient(path, loaded)
     assert vars(loaded)["_orbit"] == built._orbit
-    # a new memo reads the file instead of building
-    quotients._memo.clear()
+    # the next build reads the file instead of walking the orbit
+    monkeypatch.setattr(quotients, "_row_orbit", None)
     again = build_quotient(mod, cache_dir=tmp_path)
-    assert again is not built and again.elements == built.elements
+    assert again.elements == built.elements
 
 
-def test_disk_cache_read_once(tmp_path, empty_memo):
-    mod = Modulus.rational(4)
-    first = build_quotient(mod, cache_dir=tmp_path)
-    (path,) = tmp_path.iterdir()
-    path.unlink()
-    # the memo answers: no file is read or written
-    assert build_quotient(mod, cache_dir=str(tmp_path)) is first
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_rational_and_ideal_share_one_quotient(tmp_path, empty_memo):
+def test_rational_and_ideal_share_one_quotient(tmp_path):
     ideal, rational = Modulus.ideal(GoldenInt(8, 0)), Modulus.rational(8)
     assert ideal == rational
-    assert build_quotient(ideal) is build_quotient(rational)
+    assert build_quotient(ideal) == build_quotient(rational)
     assert (str(ideal), str(rational)) == ("(8)", "8")
     # and one cache file
     assert _cache_name(ideal, True) == _cache_name(rational, True)
-    quotients._memo.clear()
     build_quotient(rational, cache_dir=tmp_path)
-    quotients._memo.clear()
     build_quotient(ideal, cache_dir=tmp_path)
     assert len(list(tmp_path.iterdir())) == 1
 
 
-def test_associates_share_one_quotient(tmp_path, empty_memo):
-    """(5+5*L) = (5 L^2) is the modulus 5: one memo entry, one cache file."""
+def test_associates_share_one_quotient(tmp_path):
+    """(5+5*L) = (5 L^2) is the modulus 5: one quotient, one cache file."""
     ideal, rational = Modulus.ideal(GoldenInt(5, 5)), Modulus.rational(5)
     assert ideal == rational and hash(ideal) == hash(rational)
     assert (str(ideal), str(rational)) == ("(5+5*L)", "5")
-    assert build_quotient(ideal, cache_dir=tmp_path) is build_quotient(
+    assert build_quotient(ideal, cache_dir=tmp_path) == build_quotient(
         rational, cache_dir=tmp_path)
-    assert len(quotients._memo) == 1
-    quotients._memo.clear()
     assert build_quotient(rational, cache_dir=tmp_path).order == 7500
     assert len(list(tmp_path.iterdir())) == 1
 
 
-def test_memo_holds_at_most_the_element_cap(empty_memo, low_element_cap):
-    """At each call, least recently used quotients go while the memo holds
-    more than the default cap (here 5000) of built elements; the newest
-    always stays.  An order builds no element, so it counts for nothing."""
-    def memo():
-        return [(str(m), p) for m, p, _ in quotients._memo]
-
-    assert q(5).order == 7500  # above the cap: no element built
-    assert (len(q(6).elements) + len(q(6, False).elements)
-            + len(q(4).elements)) == 600 + 1200 + 160
-    q(6, False)  # now the least recently used are Q(5), then Q(6)
-    assert len(q(GoldenInt(4, 1)).elements) == 3420  # 5380 in all
-    assert memo() == [("5", True), ("6", True), ("4", True), ("6", False),
-                      ("(4+L)", True)]
-    q(4)  # the next call drops Q(5), which holds nothing, and Q(6)
-    assert memo() == [("6", False), ("(4+L)", True), ("4", True)]
-    big = build_quotient(Modulus.rational(8), element_cap=20000)
-    assert len(big.elements) == 10240  # above the cap alone
-    q(4)
-    assert memo() == [("4", True)]
-
-
-def test_cached_quotient_obeys_element_cap(tmp_path, empty_memo):
+def test_cached_quotient_obeys_element_cap(tmp_path):
     """A cache hit answers as the build does: undecided above the cap."""
     mod = Modulus.rational(8)  # order 10240
     build_quotient(mod, cache_dir=tmp_path)
@@ -420,7 +405,7 @@ def test_cached_quotient_obeys_element_cap(tmp_path, empty_memo):
 
 
 def test_cache_dir_leaves_an_order_above_the_cap_alone(
-        tmp_path, empty_memo, low_element_cap):
+        tmp_path, low_element_cap):
     """With a cache directory, an order above the cap (here 5000) is still
     answered and its file written: the file holds the row orbit, not the
     elements, which stay undecided."""
@@ -433,7 +418,7 @@ def test_cache_dir_leaves_an_order_above_the_cap_alone(
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
-def test_disk_cache_file_mode_follows_umask(tmp_path, empty_memo, umask, mode):
+def test_disk_cache_file_mode_follows_umask(tmp_path, umask, mode):
     old = os.umask(umask)
     try:
         build_quotient(Modulus.rational(4), cache_dir=tmp_path)
@@ -444,9 +429,8 @@ def test_disk_cache_file_mode_follows_umask(tmp_path, empty_memo, umask, mode):
 
 
 @pytest.mark.parametrize("garbage", [b"not a quotient cache file", b"HQC1\x05"])
-def test_disk_cache_bad_file_is_rebuilt(tmp_path, empty_memo, garbage):
+def test_disk_cache_bad_file_is_rebuilt(tmp_path, garbage):
     mod = Modulus.rational(8)
-    # written before the first call: the memo answers every later one
     path = tmp_path / _cache_name(mod, True)
     path.write_bytes(garbage)
     assert build_quotient(mod, cache_dir=tmp_path).order == 10240
@@ -507,7 +491,7 @@ def test_normal_closure_is_normal(n, seed, expected):
     assert all(group.mult(x, s) in h.members for x in h.members for s in h.seeds)
 
 
-def test_disk_cache_ignores_v1_files(tmp_path, empty_memo):
+def test_disk_cache_ignores_v1_files(tmp_path):
     """Files under the v1 and v2 names are stale: they are neither read nor
     rewritten, whatever they hold."""
     mod = Modulus.rational(3)
@@ -518,7 +502,7 @@ def test_disk_cache_ignores_v1_files(tmp_path, empty_memo):
                            + ".quot")
 
     # well-formed in the current format, but holding only the identity's row
-    # and U = {0}: read, it would give order 1
+    # and U = {0}: read, it would give an orbit of one element
     v1 = name(f"v1|{mod.kind}|{mod.generator.a},{mod.generator.b}|1")
     v1.write_bytes(b"HQC3" + struct.pack("<QQ5I", 1, 1, *ident, ident[1]))
     # well-formed in the v2 format (gen_S, gen_T, then the elements), but
@@ -527,9 +511,10 @@ def test_disk_cache_ignores_v1_files(tmp_path, empty_memo):
     v2.write_bytes(b"HQC2" + struct.pack("<Q12I", 1, *ident, *ident, *ident))
     probe = _ambient(mod, True, 10**6)
     _load_quotient(v1, probe)
-    assert probe.order == 1
+    assert probe._orbit == ([ident], [ident[1]])
     stale = {v1: v1.read_bytes(), v2: v2.read_bytes()}
-    assert build_quotient(mod, cache_dir=tmp_path).order == 60
+    assert build_quotient(mod, cache_dir=tmp_path)._orbit == _row_orbit(mod,
+                                                                        True)
     assert {path: path.read_bytes() for path in stale} == stale
     assert sorted(tmp_path.iterdir()) == sorted(
         [v1, v2, tmp_path / _cache_name(mod, True)])
