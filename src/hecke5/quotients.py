@@ -451,17 +451,17 @@ def quotient_order(modulus: Modulus, projective: bool = True) -> int:
       and B, by Goursat's lemma Qh(AB) is all of Qh(A) x Qh(B) unless both
       map onto one group Y != 1, S to S and T to T.  Take Y simple, A = P^k
       and, by induction, Qh(B) the product of its prime-power parts.
-      Y cyclic: Qh(P^k) is perfect for P other than (2) and (3) (SL(2) over
-      a local ring with more than 3 residues), while Qh(2^k) and Qh(3^k)
-      extend Qh(2) (abelianized: C2) and the perfect SL(2, 5) by 2- and
-      3-groups.  So no prime order is common to both sides.  Y non-abelian:
-      the Qh(2^k) are solvable, and otherwise Y is a Q(P) on each side,
-      PSL(2, O/P) or A5 at (3).  Two of those are isomorphic only at (3)
-      and (2+L), where T has orders 3 and 5 in A5, or at the two primes
-      over a split p.  There an isomorphism would be conjugation in
-      PGL(2, p), which keeps traces up to sign; but tr ST = -L is -r at
-      one prime and r - 1 at the other, with r^2 = r + 1 mod p, and
-      r - 1 is not +-r for p != 5.
+      Y cyclic: Qh(P^k) is perfect for P other than (2) and (3) (SL(2) of
+      a local ring whose residue field has more than 3 elements), and
+      Qh(2^k) and Qh(3^k) extend Qh(2) (abelianized: C2) and the perfect
+      SL(2, 5) by 2- and 3-groups.  So no prime order is common to both
+      sides.  Y non-abelian: the Qh(2^k) are solvable, and otherwise Y is
+      a Q(P) on each side, PSL(2, O/P) or A5 at (3).  Two of those are
+      isomorphic only at (3) and (2+L), where T has orders 3 and 5 in A5,
+      or at the two primes over a split p.  There an isomorphism would be
+      conjugation in PGL(2, p), which keeps traces up to sign; but
+      tr ST = -L is -r at one prime and r - 1 at the other, with
+      r^2 = r + 1 mod p, and r - 1 is not +-r for p != 5.
 
     `orbit_order` counts the same orders independently, and every
     enumeration by `_kernel` checks against them.
