@@ -21,7 +21,9 @@ from . import __version__
 from .closure import DEFAULT_ELEMENT_CAP, UndecidedError
 from .golden_ring import GoldenInt, Modulus, classify_rational_prime, factor
 from .hecke_matrices import Word, word
-from .quotients import _ambient, _generator_actions, quotient_order
+from .quotients import (
+    _generator_actions, _identity, _refuse_tables, quotient_order,
+)
 
 DEFAULT_COSET_CAP = 5_000
 MAX_CENSUS_INDEX = 12
@@ -291,8 +293,9 @@ def _conflicts(t: CosetTable, d: Modulus):
     K*g*w = K*w iff g is in K.  Each edge off the walk's spanning tree is a
     Schreier generator of G(d), so checking every edge is complete.
     """
-    ambient = _ambient(d, True, DEFAULT_ELEMENT_CAP)
-    cap, identity = ambient.element_cap, ambient.identity
+    cap = DEFAULT_ELEMENT_CAP
+    _refuse_tables(d, cap)
+    identity = _identity(d)
     actions = list(zip(_generator_actions(d, True), (t.perm_s, t.perm_t)))
     label = {identity: 0}
     order = [identity]

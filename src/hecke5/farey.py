@@ -1,4 +1,4 @@
-"""Hecke-Farey symbols: parsing, side-pairing generators, cusp widths.
+"""Hecke-Farey symbols: parsing and side-pairing generators.
 
 A symbol is an ordered list of cusps from -inf to inf with one label per
 consecutive pair: `o` (an order-2 pairing of the edge with itself), `*`
@@ -13,7 +13,6 @@ pairs unimodular.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .golden_ring import LAMBDA, GoldenInt, parse_golden
 from .hecke_matrices import GMat, ProjMat, decompose
@@ -180,65 +179,3 @@ def side_pairing(hfs: HeckeFareySymbol) -> list[ProjMat]:
     for g in gens:
         decompose(g)  # raises NotInG5Error for an invalid symbol
     return gens
-
-
-# ---------------------------------------------------------------------------
-# Cusp classes, widths and geometric level.
-
-
-def _vertex_classes(hfs: HeckeFareySymbol) -> list[int]:
-    """Union-find classes of vertex indices under the pairing identifications."""
-    n = len(hfs.vertices)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        parent[find(i)] = find(j)
-
-    union(0, n - 1)  # -inf and inf are the same cusp
-    free_first: dict[int, tuple[int, int]] = {}
-    for i, lab in enumerate(hfs.labels):
-        if lab in (EVEN, ODD):
-            union(i, i + 1)
-        elif lab in free_first:
-            a, b = free_first.pop(lab)
-            union(a, i + 1)  # u1 ~ v2
-            union(b, i)      # v1 ~ u2
-        else:
-            free_first[lab] = (i, i + 1)
-    return [find(i) for i in range(n)]
-
-
-def cusp_widths(hfs: HeckeFareySymbol) -> list[tuple[Cusp, int]]:
-    """(representative cusp, width) per pairing-identified vertex class.
-
-    Each edge endpoint contributes half an even line to its vertex; the
-    convention is pinned by the coset-table cycle-length oracle on the
-    index-5 census examples.
-    """
-    classes = _vertex_classes(hfs)
-    incidence = [0] * len(hfs.vertices)
-    for i in range(len(hfs.labels)):
-        incidence[i] += 1
-        incidence[i + 1] += 1
-    totals: dict[int, int] = {}
-    for i, cls in enumerate(classes):
-        totals[cls] = totals.get(cls, 0) + incidence[i]
-    out = []
-    for cls in sorted(totals, key=lambda c: classes.index(c)):
-        count = totals[cls]
-        if count % 2:
-            raise ValueError("odd even-line incidence; invalid symbol")
-        rep = hfs.vertices[classes.index(cls)]
-        out.append((rep, count // 2))
-    return out
-
-
-def geometric_level(hfs: HeckeFareySymbol) -> int:
-    return lcm(*(w for _, w in cusp_widths(hfs)))
-

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
-from math import gcd as int_gcd, isqrt
+from functools import cached_property, lru_cache
+from math import gcd, isqrt
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,6 @@ class GoldenInt:
     def norm(self) -> int:
         """Signed norm a^2 + a*b - b^2 (= self * self.conj())."""
         return self.a * self.a + self.a * self.b - self.b * self.b
-
-    def is_unit(self) -> bool:
-        return abs(self.norm()) == 1
 
     def inverse(self) -> "GoldenInt":
         """Inverse of a unit."""
@@ -122,16 +119,6 @@ def parse_golden(text: str) -> GoldenInt:
     if m.group("sign") == "-":
         b = -b
     return GoldenInt(a, b)
-
-
-def power_lambda(n: int) -> GoldenInt:
-    """L^n = F(n)*L + F(n-1) with the Fibonacci numbers F (n may be negative)."""
-    if n < 0:
-        return power_lambda(-n).inverse()
-    prev, cur = 1, 0  # F(n-1), F(n) at n = 0
-    for _ in range(n):
-        prev, cur = cur, prev + cur
-    return GoldenInt(prev, cur)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +242,7 @@ def _ideal_hnf(g: GoldenInt) -> tuple[int, int, int]:
     w = (s * v1[0] + t * v2[0], d2)
     r1 = v1[0] - (v1[1] // d2) * w[0]
     r2 = v2[0] - (v2[1] // d2) * w[0]
-    d1 = int_gcd(abs(r1), abs(r2))
+    d1 = gcd(abs(r1), abs(r2))
     c = w[0] % d1
     return d1, c, d2
 
@@ -273,21 +260,37 @@ def _xgcd(x: int, y: int) -> tuple[int, int, int]:
     return x, s0, t0
 
 
-@dataclass(frozen=True, eq=False)
 class RingTables:
     """Arithmetic of Z[L]/m on residue indices i = a*d2 + b.
 
     (a, b) is the canonical pair, 0 <= a < d1 and 0 <= b < d2, so index
     order is the lexicographic order of pairs.  `neg` and `lam` (times L)
     have ring_size entries; `add` and `mul` are ring_size rows of ring_size
-    entries.  `ring_tables` caches and shares them: treat them as read-only.
+    entries, and `mul` is built on its first read.  `ring_tables` caches
+    and shares them: treat them as read-only.
     """
 
-    modulus: Modulus
-    neg: list[int]
-    lam: list[int]
-    add: list[list[int]]
-    mul: list[list[int]]
+    def __init__(self, m: Modulus):
+        d2 = m.d2
+        ids = list(range(m.ring_size))  # table entries share these int objects
+        self.modulus = m
+        self._pairs = pairs = [divmod(i, d2) for i in ids]
+
+        def at(a: int, b: int) -> int:
+            a, b = m.reduce_pair(a, b)
+            return ids[a * d2 + b]
+
+        self._at = at
+        self.neg = [at(-a, -b) for a, b in pairs]
+        self.lam = [at(b, a + b) for a, b in pairs]  # L(a + bL) = b + (a + b)L
+        self.add = [[at(a1 + a2, b1 + b2) for a2, b2 in pairs]
+                    for a1, b1 in pairs]
+
+    @cached_property
+    def mul(self) -> list[list[int]]:
+        at, pairs = self._at, self._pairs
+        return [[at(a1 * a2 + b1 * b2, a1 * b2 + a2 * b1 + b1 * b2)
+                 for a2, b2 in pairs] for a1, b1 in pairs]
 
     def index(self, a: int, b: int) -> int:
         """Index of a + b*L for any integers a, b."""
@@ -299,22 +302,7 @@ class RingTables:
         return divmod(i, self.modulus.d2)
 
 
-@lru_cache(maxsize=64)
-def ring_tables(m: Modulus) -> RingTables:
-    d2 = m.d2
-    ids = list(range(m.ring_size))  # table entries share these int objects
-    pairs = [divmod(i, d2) for i in ids]
-
-    def at(a: int, b: int) -> int:
-        a, b = m.reduce_pair(a, b)
-        return ids[a * d2 + b]
-
-    add = [[at(a1 + a2, b1 + b2) for a2, b2 in pairs] for a1, b1 in pairs]
-    mul = [[at(a1 * a2 + b1 * b2, a1 * b2 + a2 * b1 + b1 * b2)
-            for a2, b2 in pairs] for a1, b1 in pairs]
-    neg = [at(-a, -b) for a, b in pairs]
-    lam = [at(b, a + b) for a, b in pairs]  # L(a + bL) = b + (a + b)L
-    return RingTables(m, neg, lam, add, mul)
+ring_tables = lru_cache(maxsize=64)(RingTables)
 
 
 def rational_integer_below(m: Modulus) -> int:
@@ -323,7 +311,7 @@ def rational_integer_below(m: Modulus) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Prime classification and gcd.
+# Prime classification.
 
 RAMIFIED_PRIME = GoldenInt(2, 1)  # 2 + L, the prime above 5
 
@@ -400,48 +388,3 @@ def canonical_associate(x: GoldenInt) -> GoldenInt:
             candidates += [y, -y]
     ties = [y for y in candidates if weight(y) == weight(best)]
     return min(ties, key=lambda y: (-(y.a > 0), -(y.b > 0), y.a, y.b))
-
-
-def is_associate(x: GoldenInt, y: GoldenInt) -> bool:
-    if not x or not y:
-        return not x and not y
-    return x.divisible_by(y) and y.divisible_by(x)
-
-
-def gcd(x: GoldenInt, y: GoldenInt) -> GoldenInt:
-    """Generator of the ideal (x, y), canonicalised; Euclidean descent."""
-    if not x and not y:
-        raise ValueError("gcd(0, 0) is undefined")
-    while y:
-        x, y = y, _euclid_remainder(x, y)
-    return canonical_associate(x)
-
-
-def _euclid_remainder(x: GoldenInt, y: GoldenInt) -> GoldenInt:
-    n = y.norm()
-    z = x * y.conj()  # exact field quotient is z / n
-    fa, fb = _floor_div(z.a, n), _floor_div(z.b, n)
-    qa, qb = _round_div(z.a, n), _round_div(z.b, n)
-    # floor/ceil combinations first, then the 3x3 grid around the rounding
-    grids = (
-        [(fa + da, fb + db) for da in (0, 1) for db in (0, 1)],
-        [(qa + da, qb + db) for da in (-1, 0, 1) for db in (-1, 0, 1)],
-    )
-    for grid in grids:
-        best = min((x - GoldenInt(*q) * y for q in grid),
-                   key=lambda r: abs(r.norm()))
-        if abs(best.norm()) < abs(n):
-            return best
-    raise ArithmeticError(f"euclidean step failed for {x}, {y}")  # unreachable
-
-
-def _floor_div(a: int, n: int) -> int:
-    if n < 0:
-        a, n = -a, -n
-    return a // n
-
-
-def _round_div(a: int, n: int) -> int:
-    if n < 0:
-        a, n = -a, -n
-    return (2 * a + n) // (2 * n)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .golden_ring import (
     GoldenInt, LAMBDA, ONE, ZERO,
-    emb_abs_less, emb_ratio_round, factor, parse_golden,
+    emb_abs_less, emb_ratio_round, factor,
 )
 
 
@@ -236,27 +236,6 @@ def decompose(m: GMat | ProjMat) -> Word:
     return word(letters)
 
 
-def in_g5(m: GMat | ProjMat) -> bool:
-    try:
-        decompose(m)
-        return True
-    except NotInG5Error:
-        return False
-
-
-# ---------------------------------------------------------------------------
-# Matrix text format.
-
-
-def parse_matrix(text: str) -> GMat:
-    m = re.match(
-        r"^\s*\[\s*\[([^][,]+),([^][,]+)\]\s*,\s*\[([^][,]+),([^][,]+)\]\s*\]\s*$",
-        text)
-    if not m:
-        raise ValueError(f"malformed matrix: {text!r}")
-    return GMat(*(parse_golden(g) for g in m.groups()))
-
-
 # ---------------------------------------------------------------------------
 # Generator sets from the appendix word recipes.
 
@@ -294,7 +273,7 @@ def delta_m_words(m: int) -> list[Word]:
     if m < 1:
         raise ValueError("m must be positive")
     w = _base_words(m)
-    p = min((q for q in factor(m) if q % 2), default=None)
+    p = delta_prime(m)
     r = 1 if p is None else ((p + 1) // 2)  # minimal r with 2r = 1 (mod p)
     x = (w["G"] * w["E"] * w["G"] * w["F"])
     xs = EMPTY_WORD
@@ -302,6 +281,11 @@ def delta_m_words(m: int) -> list[Word]:
         xs = xs * x
     s, t1 = _s_word(), word([("T", 1)])
     return [w["A"], w["B"], w["C"], _conj(s, xs), xs, _conj(t1, xs)]
+
+
+def delta_prime(m: int) -> int | None:
+    """The smallest odd prime factor of m, or None: the p of `delta_m_words`."""
+    return min((q for q in factor(m) if q % 2), default=None)
 
 
 def delta_m(m: int) -> list[ProjMat]:

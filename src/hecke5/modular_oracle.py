@@ -124,27 +124,3 @@ def check_lemma_d2(m: int, p: int) -> bool:
 def check_wohlfahrt_instance(r: int, s: int) -> bool:
     """Normal closure of T^s together with Gamma(rs) is Gamma(s), mod rs."""
     return check_lemma_d2(s, r)
-
-
-def check_d2_generators(m: int, p: int) -> bool:
-    """U = T^m, V = S T^m S^-1, W = T V T^-1 generate the p^3 kernel when p | m."""
-    if m % p:
-        raise ValueError("requires p | m")
-    q = build_sl2_quotient(m * p)
-    t, s = q.gen_t, q.gen_s
-    u = _pow(q, t, m)
-    v = q.mult(q.mult(s, u), _inv(q, s))
-    w = q.mult(q.mult(t, v), _inv(q, t))
-    closure = _subgroup_closure(q, [u, v, w])
-    if len(closure) != p ** 3:
-        return False
-    if len(closure) != reduction_kernel_order(m * p, m):
-        return False
-    # elementary abelian: generators commute and have order p
-    for x in (u, v, w):
-        if _pow(q, x, p) != q.identity:
-            return False
-        for y in (u, v, w):
-            if q.mult(x, y) != q.mult(y, x):
-                return False
-    return True

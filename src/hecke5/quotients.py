@@ -2,12 +2,13 @@
 
 A quotient is the group generated by the images of S and T in the ring of
 2x2 residue matrices mod a `Modulus`, either homogeneously or with +-I
-identified.  Its order is in closed form (`quotient_order`).  Its elements
-and its kernels of reduction are enumerated, on first use only, from the
-row orbit: the orbit of (1, 0) times the lower unitriangular matrices that
-fix that row.  Elements are 4-tuples of residue indices (one per entry, see
-`RingTables`): they hash cheaply, compare like the entries' canonical
-(a, b) pairs, and multiply by table lookups.
+identified.  Its order is in closed form (`quotient_order`).  Its residue
+tables are built on first use, and its elements and kernels of reduction
+are enumerated on first use from the row orbit: the orbit of (1, 0) times
+the lower unitriangular matrices that fix that row.  Elements are
+4-tuples of residue indices (one per entry, see `RingTables`): they hash
+cheaply, compare like the entries' canonical (a, b) pairs, and multiply
+by table lookups.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .golden_ring import (
     GoldenInt, Modulus, classify_rational_prime, factor, rational_integer_below,
     ring_tables,
 )
-from .hecke_matrices import GMat, IDENTITY, ProjMat, S_MAT, T_MAT
+from .hecke_matrices import GMat, ProjMat, S_MAT, T_MAT
 
 Key = tuple[int, int, int, int]
 
@@ -80,14 +81,16 @@ def _generator_actions(modulus: Modulus,
 
 @dataclass(frozen=True)
 class QuotientGroup:
-    """Q(modulus): its arithmetic at once, its order in closed form, and
-    its row orbit (see `_row_orbit`, walked once) and elements on first
-    use."""
+    """Q(modulus): its order in closed form at once; its arithmetic, keys,
+    row orbit (see `_row_orbit`, walked once) and elements on first use."""
 
     modulus: Modulus
     projective: bool
     element_cap: int = field(compare=False)  # bounds every closure in it
-    _mult: object = field(repr=False, compare=False)
+
+    @cached_property
+    def _mult(self) -> Callable[[Key, Key], Key]:
+        return _make_mult(self.modulus, self.projective)
 
     @cached_property
     def _orbit(self) -> tuple[list[Key], list[int]]:
@@ -102,23 +105,26 @@ class QuotientGroup:
         """All of Q, the kernel of reduction mod 1."""
         return _kernel(self, Modulus.rational(1), self.order)
 
-    @property
+    @cached_property
     def gen_S(self) -> Key:
         return self.key_of(S_MAT)
 
-    @property
+    @cached_property
     def gen_T(self) -> Key:
         return self.key_of(T_MAT)
 
-    @property
+    @cached_property
     def identity(self) -> Key:
-        return self.key_of(IDENTITY)
+        return _identity(self.modulus)
 
     def mult(self, x: Key, y: Key) -> Key:
         return self._mult(x, y)
 
     def key_of(self, m: GMat | ProjMat) -> Key:
         if isinstance(m, ProjMat):
+            if not self.projective:  # a ProjMat does not say which of +-M
+                raise ValueError(f"a matrix up to sign has no key in the "
+                                 f"homogeneous Q({self.modulus})")
             m = m.rep
         r = ring_tables(self.modulus)
         t = (r.index(m.e11.a, m.e11.b), r.index(m.e12.a, m.e12.b),
@@ -138,6 +144,13 @@ class QuotientGroup:
         return Counter(self.element_order(x) for x in self.elements)
 
 
+def _identity(modulus: Modulus) -> Key:
+    """The key of I: (1, 0) is the smaller of +-(1, 0), so it is `_signed`."""
+    r = ring_tables(modulus)
+    one, zero = r.index(1, 0), r.index(0, 0)
+    return (one, zero, zero, one)
+
+
 @dataclass(frozen=True)
 class SubgroupHandle:
     parent: QuotientGroup
@@ -147,17 +160,6 @@ class SubgroupHandle:
     @property
     def order(self) -> int:
         return len(self.members)
-
-
-def _ambient(modulus: Modulus, projective: bool, element_cap: int) -> QuotientGroup:
-    """The quotient's handle, with only the residue tables enumerated: `add`
-    and `mul` have ring_size**2 entries each, built one at a time, and they
-    count against the element cap."""
-    if element_cap < 1:
-        raise ValueError(f"element cap must be at least 1, not {element_cap}")
-    _refuse_tables(modulus, element_cap)
-    return QuotientGroup(modulus, projective, element_cap,
-                         _make_mult(modulus, projective))
 
 
 def _refuse_tables(modulus: Modulus, element_cap: int) -> None:
@@ -171,13 +173,19 @@ def _refuse_tables(modulus: Modulus, element_cap: int) -> None:
 def build_quotient(modulus: Modulus, projective: bool = True,
                    element_cap: int = DEFAULT_ELEMENT_CAP,
                    cache_dir: str | Path | None = None) -> QuotientGroup:
-    """The image of {S, T} mod `modulus`.
+    """The image of {S, T} mod `modulus`, built no further than its order.
 
-    With `cache_dir`, the row orbit is read from its file if that loads,
-    else walked and written.  A file that does not load (bad magic,
-    truncated) counts as missing and is rewritten.
+    Its residue tables are built on first use: `add` and `mul` have
+    ring_size**2 entries each, and they count against the element cap
+    here, whether they are ever built or not.  With `cache_dir`, the row
+    orbit is read from its file if that loads, else walked and written.  A
+    file that does not load (bad magic, truncated) counts as missing and is
+    rewritten.
     """
-    q = _ambient(modulus, projective, element_cap)
+    if element_cap < 1:
+        raise ValueError(f"element cap must be at least 1, not {element_cap}")
+    _refuse_tables(modulus, element_cap)
+    q = QuotientGroup(modulus, projective, element_cap)
     if cache_dir is not None:
         path = Path(cache_dir) / _cache_name(modulus, projective)
         try:
@@ -210,8 +218,8 @@ def _row_orbit(modulus: Modulus,
     """
     r = ring_tables(modulus)
     add, mul, neg = r.add, r.mul, r.neg
-    zero, one = r.index(0, 0), r.index(1, 0)
-    identity = (one, zero, zero, one)
+    identity = _identity(modulus)
+    one, zero = identity[:2]
     reps = [identity]
     by_row = {(one, zero): identity}
     gens = set()

@@ -18,7 +18,7 @@ from .golden_ring import GoldenInt, Modulus, factor, parse_golden
 from . import modular_oracle as oracle
 from .hecke_matrices import (
     appendix_b_set, appendix_c_set, decompose, delta_m, delta_m_words,
-    elementary_generators, eval_word, omega_2, word,
+    delta_prime, elementary_generators, eval_word, omega_2, word,
 )
 from .quotients import (
     _refuse_tables, build_quotient, check_elementary_abelian,
@@ -58,11 +58,13 @@ def check_index_formula(a: str) -> CheckResult:
 
 def check_delta_grid(m: int, p: int) -> CheckResult:
     """Six translation-conjugate generators mod mp: elementary abelian p^6,
-    for p | m (and 4 | m when p = 2)."""
+    for a prime p | m (and 4 | m when p = 2)."""
+    if p < 2 or factor(p) != {p: 1}:
+        raise ValueError("p must be a prime")
     if m % p or (p == 2 and m % 4):
         raise ValueError("p must divide m, and 4 must divide m when p = 2")
     amb = build_quotient(Modulus.rational(m * p), projective=True)
-    if any(q % 2 for q in factor(m)):  # m has an odd prime factor
+    if delta_prime(m) is not None:
         gens = delta_m(m)
     else:
         gens = elementary_generators(m)
@@ -73,7 +75,10 @@ def check_delta_grid(m: int, p: int) -> CheckResult:
 
 
 def check_delta_residues(m: int, p: int) -> CheckResult:
-    """The group-element realization hits the prescribed residues mod mp."""
+    """The group-element realization hits the prescribed residues mod mp,
+    for p the smallest odd prime factor of m, as `delta_m_words` takes it."""
+    if p != delta_prime(m):
+        raise ValueError("p must be the smallest odd prime factor of m")
     amb = build_quotient(Modulus.rational(m * p), projective=True)
     words = delta_m_words(m)
     got = {amb.key_of(eval_word(w)) for w in words}

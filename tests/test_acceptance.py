@@ -78,6 +78,27 @@ def test_delta_grid_outside_its_domain(m, p):
             run_check("2.2", m=m, p=p)
 
 
+@pytest.mark.parametrize("m,p", [(3, 0), (3, 1), (1, 1), (4, 4), (9, 9)])
+def test_delta_grid_needs_a_prime(m, p):
+    """Lemma 2.2's p is a prime: p = 0 divided by zero, and p = 1 or 4
+    answered."""
+    with pytest.raises(ValueError, match="p must be a prime"):
+        run_check("2.2", m=m, p=p)
+
+
+@pytest.mark.parametrize("m,p", [(m, p) for p in (1, 2, 3, 5)
+                                 for m in range(1, 10) if m * p <= 30])
+def test_delta_residues_outside_its_domain(m, p):
+    """Lemma A's words take r from the smallest odd prime factor of m, so p
+    must be that prime.  Of these 33 cases it holds in the 4 inside that
+    domain, and the other 29 are input errors."""
+    if (m, p) in {(3, 3), (6, 3), (9, 3), (5, 5)}:
+        assert run_check("A", m=m, p=p)[0].passed
+    else:
+        with pytest.raises(ValueError, match="smallest odd prime factor"):
+            run_check("A", m=m, p=p)
+
+
 @pytest.mark.parametrize("lemma", ["2.4", "3.2"])
 @pytest.mark.parametrize("a,b", [(a, b) for a in range(1, 5)
                                  for b in range(1, 5)])

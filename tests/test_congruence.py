@@ -11,14 +11,17 @@ from sympy.combinatorics.fp_groups import (
 )
 from sympy.combinatorics.free_groups import free_group
 
+from hecke5 import congruence
 from hecke5.congruence import (
     DEFAULT_COSET_CAP, CongruenceReport, CosetTable, UndecidedError,
     _canonical, _conflicts, _ideal_divisors, algebraic_level, coset_table,
     enumerate_index, geometric_level_from_table, is_congruence,
-    is_normal_table, schreier_generators, wohlfahrt_modulus,
+    is_normal_table, levels, schreier_generators, wohlfahrt_modulus,
 )
 from hecke5.farey import parse_hfs, side_pairing
-from hecke5.golden_ring import Modulus, gcd as golden_gcd
+from hecke5.golden_ring import (
+    GoldenInt, Modulus, RAMIFIED_PRIME, canonical_associate, ring_tables,
+)
 from hecke5.hecke_matrices import decompose, omega_2, parse_word, word
 from hecke5.quotients import (
     _generator_actions, build_quotient, normal_closure, subgroup_closure,
@@ -30,6 +33,65 @@ from test_farey import EXAMPLES
 
 def hfs_words(name):
     return [decompose(g) for g in side_pairing(parse_hfs(EXAMPLES[name][0]))]
+
+
+# -- Euclidean gcd in Z[L] ---------------------------------------------------
+# The oracle for the algebraic level: the passing divisors are closed under
+# it (`TestAlgebraicLevel`).
+
+
+def golden_gcd(x: GoldenInt, y: GoldenInt) -> GoldenInt:
+    """Generator of the ideal (x, y), canonicalised; Euclidean descent."""
+    if not x and not y:
+        raise ValueError("gcd(0, 0) is undefined")
+    while y:
+        x, y = y, _euclid_remainder(x, y)
+    return canonical_associate(x)
+
+
+def _euclid_remainder(x: GoldenInt, y: GoldenInt) -> GoldenInt:
+    n = y.norm()
+    z = x * y.conj()  # exact field quotient is z / n
+    fa, fb = _floor_div(z.a, n), _floor_div(z.b, n)
+    qa, qb = _round_div(z.a, n), _round_div(z.b, n)
+    # floor/ceil combinations first, then the 3x3 grid around the rounding
+    grids = (
+        [(fa + da, fb + db) for da in (0, 1) for db in (0, 1)],
+        [(qa + da, qb + db) for da in (-1, 0, 1) for db in (-1, 0, 1)],
+    )
+    for grid in grids:
+        best = min((x - GoldenInt(*q) * y for q in grid),
+                   key=lambda r: abs(r.norm()))
+        if abs(best.norm()) < abs(n):
+            return best
+    raise ArithmeticError(f"euclidean step failed for {x}, {y}")  # unreachable
+
+
+def _floor_div(a: int, n: int) -> int:
+    if n < 0:
+        a, n = -a, -n
+    return a // n
+
+
+def _round_div(a: int, n: int) -> int:
+    if n < 0:
+        a, n = -a, -n
+    return (2 * a + n) // (2 * n)
+
+
+small = st.builds(GoldenInt, st.integers(-50, 50), st.integers(-50, 50))
+
+
+@given(small.filter(bool), small.filter(bool))
+def test_gcd_divides(x, y):
+    g = golden_gcd(x, y)
+    assert x.divisible_by(g) and y.divisible_by(g)
+
+
+def test_gcd_values():
+    assert (Modulus.ideal(golden_gcd(RAMIFIED_PRIME, GoldenInt(5, 0)))
+            == Modulus.ideal(RAMIFIED_PRIME))
+    assert abs(golden_gcd(GoldenInt(2, 0), GoldenInt(3, 1)).norm()) == 1
 
 
 class TestCosetTable:
@@ -320,6 +382,22 @@ def test_divisors_carry_no_unit_factor(n, count):
 
 
 class TestAlgebraicLevel:
+    def test_walks_build_no_multiplication(self, monkeypatch):
+        """The walks act by S and T only: the residue tables of each walked
+        modulus have no `mul`."""
+        walked, walk = set(), congruence._conflicts
+
+        def spy(t, d):
+            walked.add(d)
+            return walk(t, d)
+
+        monkeypatch.setattr(congruence, "_conflicts", spy)
+        ring_tables.cache_clear()
+        for t in enumerate_index(6):
+            levels(t)
+        assert ring_tables.cache_info().currsize == len(walked) > 1
+        assert not any("mul" in vars(ring_tables(d)) for d in walked)
+
     def test_minimal_divisor_found(self):
         level = algebraic_level(coset_table(hfs_words("i5-level5")), 5)
         assert str(level) == "(2+L)"

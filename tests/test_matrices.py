@@ -7,7 +7,7 @@ from hecke5.golden_ring import GoldenInt, LAMBDA, Modulus, ONE, ZERO
 from hecke5.hecke_matrices import (
     GMat, IDENTITY, NotInG5Error, PROJ_IDENTITY, ProjMat, S_MAT, T_MAT, Word,
     appendix_b_set, appendix_c_set, decompose, delta_m, elementary_generators,
-    eval_word, eval_word_homogeneous, in_g5, omega_2, parse_matrix, parse_word,
+    eval_word, eval_word_homogeneous, omega_2, parse_word,
     translation, word,
 )
 
@@ -24,14 +24,6 @@ def test_generator_relations():
 def test_determinant_enforced():
     with pytest.raises(ValueError):
         GMat(ONE, ZERO, ZERO, GoldenInt(2, 0))
-
-
-def test_parse_matrix():
-    m = parse_matrix("[[0,1],[-1,0]]")
-    assert m == S_MAT
-    assert parse_matrix("[[1, L], [0, 1]]") == T_MAT
-    with pytest.raises(ValueError):
-        parse_matrix("[[1,0],[0]]")
 
 
 def test_word_parse_and_print():
@@ -78,15 +70,15 @@ def test_decompose_roundtrip_bulk():
 
 def test_non_members_rejected():
     stray = GMat(ONE, ONE, ZERO, ONE)  # integer translation: not a word in S, T
-    assert not in_g5(stray)
     with pytest.raises(NotInG5Error):
         decompose(stray)
 
 
 def test_translation():
     assert translation(LAMBDA) == T_MAT
-    assert in_g5(translation(LAMBDA * GoldenInt(3, 0)))
-    assert not in_g5(translation(GoldenInt(1, 1)))
+    assert decompose(translation(LAMBDA * GoldenInt(3, 0))) == word([("T", 3)])
+    with pytest.raises(NotInG5Error):
+        decompose(translation(GoldenInt(1, 1)))
 
 
 def test_projective_sign_canonical():

@@ -7,8 +7,9 @@ import pytest
 from hecke5 import closure
 from hecke5.closure import generated_closure
 from hecke5.modular_oracle import (
-    build_sl2_quotient, check_d2_generators, check_lemma_d1, check_lemma_d2,
-    check_wohlfahrt_instance, d2_closure_order, reduction_kernel_order,
+    _inv, _pow, _subgroup_closure, build_sl2_quotient, check_lemma_d1,
+    check_lemma_d2, check_wohlfahrt_instance, d2_closure_order,
+    reduction_kernel_order,
 )
 from hecke5.verify import run_check
 
@@ -100,6 +101,30 @@ def test_closure_orders():
 @pytest.mark.parametrize("r,s", [(2, 2), (3, 2), (2, 3)])
 def test_wohlfahrt_instances(r, s):
     assert check_wohlfahrt_instance(r, s)
+
+
+def check_d2_generators(m: int, p: int) -> bool:
+    """U = T^m, V = S T^m S^-1, W = T V T^-1 generate the p^3 kernel when p | m."""
+    if m % p:
+        raise ValueError("requires p | m")
+    q = build_sl2_quotient(m * p)
+    t, s = q.gen_t, q.gen_s
+    u = _pow(q, t, m)
+    v = q.mult(q.mult(s, u), _inv(q, s))
+    w = q.mult(q.mult(t, v), _inv(q, t))
+    closure = _subgroup_closure(q, [u, v, w])
+    if len(closure) != p ** 3:
+        return False
+    if len(closure) != reduction_kernel_order(m * p, m):
+        return False
+    # elementary abelian: generators commute and have order p
+    for x in (u, v, w):
+        if _pow(q, x, p) != q.identity:
+            return False
+        for y in (u, v, w):
+            if q.mult(x, y) != q.mult(y, x):
+                return False
+    return True
 
 
 @pytest.mark.parametrize("m,p", [(2, 2), (3, 3), (4, 2)])

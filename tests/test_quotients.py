@@ -17,7 +17,7 @@ from hecke5.hecke_matrices import (
 from hecke5 import closure, congruence, quotients
 from hecke5.congruence import _ideal_divisors
 from hecke5.quotients import (
-    UndecidedError, _ambient, _cache_name, _generator_actions, _kernel,
+    UndecidedError, _cache_name, _generator_actions, _kernel,
     _load_quotient, _row_orbit, build_quotient, check_elementary_abelian,
     kernel_subgroup, normal_closure, orbit_order, quotient_order,
     sl2_enumeration_order, sl_index_formula, subgroup_closure,
@@ -343,6 +343,25 @@ def test_order_formula_matches_the_orbit(mod, projective):
         build_quotient(mod, projective))
 
 
+def test_an_order_builds_no_tables():
+    """|Q(31)| is `quotient_order`: no residue table is built for it."""
+    ring_tables.cache_clear()
+    assert build_quotient(Modulus.rational(31)).order == 442828800
+    assert ring_tables.cache_info().currsize == 0
+
+
+def test_a_matrix_up_to_sign_has_no_homogeneous_key():
+    """S^-1 T generates a subgroup of order 10 in the homogeneous Q(5), and
+    of order 5 in the projective one.  A `ProjMat` does not say which of
+    +-S^-1 T it means, so the homogeneous quotient refuses it."""
+    mod, w = Modulus.rational(5), parse_word("S^-1 T")
+    hom = build_quotient(mod, projective=False)
+    assert subgroup_closure(hom, [eval_word_homogeneous(w)]).order == 10
+    assert subgroup_closure(build_quotient(mod), [eval_word(w)]).order == 5
+    with pytest.raises(ValueError, match="up to sign"):
+        subgroup_closure(hom, [eval_word(w)])
+
+
 def test_lazy_ambient_closure():
     """Q(25) has 117187500 elements, far above the cap: its closures and
     its order need none of them."""
@@ -360,7 +379,7 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     built = build_quotient(mod, cache_dir=tmp_path)
     (path,) = tmp_path.iterdir()
     assert path.name == _cache_name(mod, True)
-    loaded = _ambient(mod, True, built.element_cap)
+    loaded = build_quotient(mod, True, built.element_cap)
     _load_quotient(path, loaded)
     assert vars(loaded)["_orbit"] == built._orbit
     # the next build reads the file instead of walking the orbit
@@ -436,7 +455,7 @@ def test_disk_cache_bad_file_is_rebuilt(tmp_path, garbage):
     assert build_quotient(mod, cache_dir=tmp_path).order == 10240
     assert list(tmp_path.iterdir()) == [path]
     assert path.read_bytes() != garbage
-    loaded = _ambient(mod, True, 10240)
+    loaded = build_quotient(mod, True, 10240)
     _load_quotient(path, loaded)
     assert vars(loaded)["_orbit"] == _row_orbit(mod, True)
     assert loaded.order == 10240
@@ -495,7 +514,7 @@ def test_disk_cache_ignores_v1_files(tmp_path):
     """Files under the v1 and v2 names are stale: they are neither read nor
     rewritten, whatever they hold."""
     mod = Modulus.rational(3)
-    ident = _ambient(mod, True, 10**6).identity
+    ident = build_quotient(mod, True, 10**6).identity
 
     def name(tag):
         return tmp_path / (hashlib.sha256(tag.encode()).hexdigest()[:20]
@@ -509,7 +528,7 @@ def test_disk_cache_ignores_v1_files(tmp_path):
     # holding only the identity
     v2 = name(f"v2|{mod.d1},{mod.c},{mod.d2}|1")
     v2.write_bytes(b"HQC2" + struct.pack("<Q12I", 1, *ident, *ident, *ident))
-    probe = _ambient(mod, True, 10**6)
+    probe = build_quotient(mod, True, 10**6)
     _load_quotient(v1, probe)
     assert probe._orbit == ([ident], [ident[1]])
     stale = {v1: v1.read_bytes(), v2: v2.read_bytes()}
