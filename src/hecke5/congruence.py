@@ -291,10 +291,11 @@ def _conflicts(t: CosetTable, d: Modulus):
 
     Two words with one image in Q(d) differ by some g in G(d), and
     K*g*w = K*w iff g is in K.  Each edge off the walk's spanning tree is a
-    Schreier generator of G(d), so checking every edge is complete.
+    Schreier generator of G(d), so checking every edge is complete.  Its
+    tables, 7 * ring_size entries, are refused before any is built.
     """
     cap = DEFAULT_ELEMENT_CAP
-    _refuse_tables(d, cap)
+    _refuse_tables(d, 7 * d.ring_size, cap)
     identity = _identity(d)
     actions = list(zip(_generator_actions(d, True), (t.perm_s, t.perm_t)))
     label = {identity: 0}

@@ -264,39 +264,36 @@ class RingTables:
     """Arithmetic of Z[L]/m on residue indices i = a*d2 + b.
 
     (a, b) is the canonical pair, 0 <= a < d1 and 0 <= b < d2, so index
-    order is the lexicographic order of pairs.  `neg` and `lam` (times L)
-    have ring_size entries; `add` and `mul` are ring_size rows of ring_size
-    entries, and `mul` is built on its first read.  `ring_tables` caches
-    and shares them: treat them as read-only.
+    order is the lexicographic order of pairs.  Sums go through spaced
+    indices a*2*d2 + b (`wide`): two of them add without a carry from b
+    into a, and `red`, 4 * ring_size entries, takes the sum back to its
+    index.  So x + y is red[wide[x] + wide[y]].  `neg` has ring_size
+    entries and `lam` (times L) ring_size spaced ones; `mul` is the one
+    table of ring_size rows of ring_size entries, spaced, built on its
+    first read.  `ring_tables` caches and shares them: treat them as
+    read-only.
     """
 
     def __init__(self, m: Modulus):
-        d2 = m.d2
-        ids = list(range(m.ring_size))  # table entries share these int objects
+        span = 2 * m.d2
         self.modulus = m
-        self._pairs = pairs = [divmod(i, d2) for i in ids]
-
-        def at(a: int, b: int) -> int:
-            a, b = m.reduce_pair(a, b)
-            return ids[a * d2 + b]
-
-        self._at = at
-        self.neg = [at(-a, -b) for a, b in pairs]
-        self.lam = [at(b, a + b) for a, b in pairs]  # L(a + bL) = b + (a + b)L
-        self.add = [[at(a1 + a2, b1 + b2) for a2, b2 in pairs]
-                    for a1, b1 in pairs]
+        self._pairs = pairs = list(m.residues())
+        self.wide = wide = [a * span + b for a, b in pairs]
+        self.neg = [self.at(-a, -b) for a, b in pairs]
+        # L(a + bL) = b + (a + b)L
+        self.lam = [wide[self.at(b, a + b)] for a, b in pairs]
+        self.red = [self.at(*divmod(x, span)) for x in range(4 * m.ring_size)]
 
     @cached_property
     def mul(self) -> list[list[int]]:
-        at, pairs = self._at, self._pairs
-        return [[at(a1 * a2 + b1 * b2, a1 * b2 + a2 * b1 + b1 * b2)
+        at, wide, pairs = self.at, self.wide, self._pairs
+        return [[wide[at(a1 * a2 + b1 * b2, a1 * b2 + a2 * b1 + b1 * b2)]
                  for a2, b2 in pairs] for a1, b1 in pairs]
 
-    def index(self, a: int, b: int) -> int:
+    def at(self, a: int, b: int) -> int:
         """Index of a + b*L for any integers a, b."""
-        d1, d2 = self.modulus.d1, self.modulus.d2
-        # d1 lies in the ideal, so a and b only matter mod d1
-        return self.add[(a % d1) * d2][self.lam[(b % d1) * d2]]
+        a, b = self.modulus.reduce_pair(a, b)
+        return a * self.modulus.d2 + b
 
     def pair(self, i: int) -> tuple[int, int]:
         return divmod(i, self.modulus.d2)

@@ -48,13 +48,13 @@ def _signed(neg: list[int], t: Key) -> Key:
 
 def _make_mult(modulus: Modulus, projective: bool):
     r = ring_tables(modulus)
-    add, mul, neg = r.add, r.mul, r.neg
+    red, mul, neg = r.red, r.mul, r.neg
 
     def mult(x: Key, y: Key) -> Key:
         y0, y1, y2, y3 = y
         m0, m1, m2, m3 = mul[x[0]], mul[x[1]], mul[x[2]], mul[x[3]]
-        t = (add[m0[y0]][m1[y2]], add[m0[y1]][m1[y3]],
-             add[m2[y0]][m3[y2]], add[m2[y1]][m3[y3]])
+        t = (red[m0[y0] + m1[y2]], red[m0[y1] + m1[y3]],
+             red[m2[y0] + m3[y2]], red[m2[y1] + m3[y3]])
         return _signed(neg, t) if projective else t
 
     return mult
@@ -64,7 +64,7 @@ def _generator_actions(modulus: Modulus,
                        projective: bool) -> list[Callable[[Key], Key]]:
     """Right multiplication by S = (0 1; -1 0) and T = (1 L; 0 1)."""
     r = ring_tables(modulus)
-    add, lam, neg = r.add, r.lam, r.neg
+    red, wide, lam, neg = r.red, r.wide, r.lam, r.neg
 
     def times_s(x: Key) -> Key:  # (a b; c d) S = (-b a; -d c)
         a, b, c, d = x
@@ -73,7 +73,7 @@ def _generator_actions(modulus: Modulus,
 
     def times_t(x: Key) -> Key:  # (a b; c d) T = (a aL+b; c cL+d)
         a, b, c, d = x
-        t = (a, add[lam[a]][b], c, add[lam[c]][d])
+        t = (a, red[lam[a] + wide[b]], c, red[lam[c] + wide[d]])
         return _signed(neg, t) if projective else t
 
     return [times_s, times_t]
@@ -127,8 +127,8 @@ class QuotientGroup:
                                  f"homogeneous Q({self.modulus})")
             m = m.rep
         r = ring_tables(self.modulus)
-        t = (r.index(m.e11.a, m.e11.b), r.index(m.e12.a, m.e12.b),
-             r.index(m.e21.a, m.e21.b), r.index(m.e22.a, m.e22.b))
+        t = (r.at(m.e11.a, m.e11.b), r.at(m.e12.a, m.e12.b),
+             r.at(m.e21.a, m.e21.b), r.at(m.e22.a, m.e22.b))
         return _signed(r.neg, t) if self.projective else t
 
     def inv_key(self, x: Key) -> Key:
@@ -147,7 +147,7 @@ class QuotientGroup:
 def _identity(modulus: Modulus) -> Key:
     """The key of I: (1, 0) is the smaller of +-(1, 0), so it is `_signed`."""
     r = ring_tables(modulus)
-    one, zero = r.index(1, 0), r.index(0, 0)
+    one, zero = r.at(1, 0), r.at(0, 0)
     return (one, zero, zero, one)
 
 
@@ -162,9 +162,8 @@ class SubgroupHandle:
         return len(self.members)
 
 
-def _refuse_tables(modulus: Modulus, element_cap: int) -> None:
-    """Undecided if ring_size**2 entries twice over pass the element cap."""
-    entries = 2 * modulus.ring_size ** 2
+def _refuse_tables(modulus: Modulus, entries: int, element_cap: int) -> None:
+    """Undecided if tables of `entries` entries mod `modulus` pass the cap."""
     if entries > element_cap:
         raise UndecidedError(f"residue tables mod {modulus} need {entries} "
                              f"entries, above the element cap of {element_cap}")
@@ -175,16 +174,16 @@ def build_quotient(modulus: Modulus, projective: bool = True,
                    cache_dir: str | Path | None = None) -> QuotientGroup:
     """The image of {S, T} mod `modulus`, built no further than its order.
 
-    Its residue tables are built on first use: `add` and `mul` have
-    ring_size**2 entries each, and they count against the element cap
-    here, whether they are ever built or not.  With `cache_dir`, the row
-    orbit is read from its file if that loads, else walked and written.  A
-    file that does not load (bad magic, truncated) counts as missing and is
-    rewritten.
+    Its residue tables are built on first use.  `mul` has ring_size**2
+    entries and the row orbit walked with it at most ring_size**2 rows, so
+    2 * ring_size**2 counts against the element cap here, whether either is
+    ever built or not.  With `cache_dir`, the row orbit is read from its
+    file if that loads, else walked and written.  A file that does not load
+    (bad magic, truncated) counts as missing and is rewritten.
     """
     if element_cap < 1:
         raise ValueError(f"element cap must be at least 1, not {element_cap}")
-    _refuse_tables(modulus, element_cap)
+    _refuse_tables(modulus, 2 * modulus.ring_size ** 2, element_cap)
     q = QuotientGroup(modulus, projective, element_cap)
     if cache_dir is not None:
         path = Path(cache_dir) / _cache_name(modulus, projective)
@@ -217,7 +216,7 @@ def _row_orbit(modulus: Modulus,
     negation.
     """
     r = ring_tables(modulus)
-    add, mul, neg = r.add, r.mul, r.neg
+    red, wide, mul, neg = r.red, r.wide, r.mul, r.neg
     identity = _identity(modulus)
     one, zero = identity[:2]
     reps = [identity]
@@ -231,12 +230,12 @@ def _row_orbit(modulus: Modulus,
             if rep is y:
                 reps.append(y)
             else:  # y (a b; c' d')^-1 = (1 0; u 1) with u = c d' - d c'
-                gens.add(add[mul[y[2]][rep[3]]][neg[mul[y[3]][rep[2]]]])
+                gens.add(red[mul[y[2]][rep[3]] + mul[neg[y[3]]][rep[2]]])
     shifts = [zero]
     span = {zero}
     for u in shifts:  # also grows while it is walked
         for g in gens:
-            v = add[u][g]
+            v = red[wide[u] + wide[g]]
             if v not in span:
                 span.add(v)
                 shifts.append(v)
@@ -367,15 +366,15 @@ def _kernel(q: QuotientGroup, m: Modulus, size: int) -> frozenset[Key]:
     if size > q.element_cap:
         raise _cap_reached(q.element_cap)
     big, small = ring_tables(q.modulus), ring_tables(m)
-    add, mul = big.add, big.mul
-    down = [small.index(*big.pair(i)) for i in range(q.modulus.ring_size)]
-    zero, one = small.index(0, 0), small.index(1, 0)
+    red, wide, mul = big.red, big.wide, big.mul
+    down = [small.at(*big.pair(i)) for i in range(q.modulus.ring_size)]
+    zero, one = small.at(0, 0), small.at(1, 0)
     ones = {one, small.neg[one]} if q.projective else {one}
     reps, shifts = q._orbit
     members = frozenset(
-        (a, b, add[c][mul[u][a]], add[d][mul[u][b]])
+        (a, b, red[wide[c] + mul[u][a]], red[wide[d] + mul[u][b]])
         for a, b, c, d in reps if down[a] in ones and down[b] == zero
-        for want in [small.neg[small.mul[down[c]][down[a]]]]  # u = -c/a
+        for want in [small.neg[small.red[small.mul[down[c]][down[a]]]]]  # u = -c/a
         for u in shifts if down[u] == want)
     if len(members) != size:
         raise ArithmeticError(f"the kernel of Q({q.modulus}) mod {m} has "

@@ -49,7 +49,7 @@ def _result(check_id, params, passed, detail) -> CheckResult:
 
 def check_index_formula(a: str) -> CheckResult:
     mod = _parse_modulus(a)
-    _refuse_tables(mod, DEFAULT_ELEMENT_CAP)  # both counts grow with ring**2
+    _refuse_tables(mod, 2 * mod.ring_size ** 2, DEFAULT_ELEMENT_CAP)
     expected = sl_index_formula(mod)
     got = sl2_enumeration_order(mod)
     return _result("index-formula", {"a": a}, expected == got,
@@ -204,6 +204,8 @@ def check_homogeneous_product(a: int, b: int) -> CheckResult:
 
 
 def check_oracle_unipotent(p: int) -> CheckResult:
+    if p < 2 or factor(p) != {p: 1}:
+        raise ValueError("p must be a prime")
     ok = oracle.check_lemma_d1(p)
     return _result("oracle-unipotent", {"p": p}, ok,
                    f"SL(2,{p}) generated by the unipotent pair")

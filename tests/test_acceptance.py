@@ -86,6 +86,14 @@ def test_delta_grid_needs_a_prime(m, p):
         run_check("2.2", m=m, p=p)
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 6, 9])
+def test_unipotent_pair_needs_a_prime(p):
+    """Lemma D1 is a claim about SL(2, p) for a prime p: p = 1, 4, 6 and
+    9 were answered "pass"."""
+    with pytest.raises(ValueError, match="p must be a prime"):
+        run_check("D1", p=p)
+
+
 @pytest.mark.parametrize("m,p", [(m, p) for p in (1, 2, 3, 5)
                                  for m in range(1, 10) if m * p <= 30])
 def test_delta_residues_outside_its_domain(m, p):
@@ -228,8 +236,8 @@ def test_criterion_10_randomized_invariants():
         x, y, z = rand_golden(), rand_golden(), rand_golden()
         ok = ok and (x + y) * z == x * z + y * z
         ok = ok and (x * y).norm() == x.norm() * y.norm()
-        ok = ok and ring.index((x * y).a, (x * y).b) == ring.mul[
-            ring.index(x.a, x.b)][ring.index(y.a, y.b)]
+        ok = ok and ring.at((x * y).a, (x * y).b) == ring.red[ring.mul[
+            ring.at(x.a, x.b)][ring.at(y.a, y.b)]]
 
     roundtrips = 0
     for _ in range(200):

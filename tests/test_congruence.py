@@ -398,6 +398,17 @@ class TestAlgebraicLevel:
         assert ring_tables.cache_info().currsize == len(walked) > 1
         assert not any("mul" in vars(ring_tables(d)) for d in walked)
 
+    def test_walk_tables_above_the_cap_are_undecided_at_once(self):
+        """Mod 1000 the walk's tables would have 7 * 10**6 entries: it is
+        undecided before it builds any."""
+        t = enumerate_index(2)[0]
+        before = ring_tables.cache_info()
+        with pytest.raises(UndecidedError,
+                           match="mod 1000 need 7000000 entries, above the "
+                                 "element cap of 2000000"):
+            next(_conflicts(t, Modulus.rational(1000)))
+        assert ring_tables.cache_info() == before
+
     def test_minimal_divisor_found(self):
         level = algebraic_level(coset_table(hfs_words("i5-level5")), 5)
         assert str(level) == "(2+L)"
@@ -546,6 +557,16 @@ class TestCensus:
     def test_index_out_of_range(self, n):
         with pytest.raises(ValueError):
             enumerate_index(n)
+
+    def test_index_ten_congruence_rows(self):
+        """61 of the 1766 subgroups of index 10 are congruence.  Their test
+        moduli go up to 40, whose walks need no ring_size**2 table."""
+        tabs = enumerate_index(10)
+        found = Counter(str(levels(t)[2]) for t in tabs)
+        del found["None"]
+        assert len(tabs) == 1766
+        assert found == {"(2)": 1, "(3)": 10, "(4)": 30, "(2+L)": 10,
+                         "(6)": 5, "(4+2*L)": 5}
 
     def test_index_five(self):
         tabs = enumerate_index(5)

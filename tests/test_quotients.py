@@ -57,7 +57,7 @@ class TestOrders:
             build_quotient(Modulus.rational(10**9))
         with pytest.raises(UndecidedError):
             build_quotient(Modulus.rational(33))  # 2 * 1089**2 entries > 2M
-        # the add and mul tables mod 2 have 2 * 4**2 entries
+        # mul mod 2 has 4**2 entries, and the row orbit at most 4**2 rows
         with pytest.raises(UndecidedError, match="mod 2 need 32 entries, "
                                                  "above the element cap of 31"):
             build_quotient(Modulus.rational(2), element_cap=31)
@@ -170,8 +170,8 @@ def kernel_by_filter(group, m):
     """The kernel by its definition: the elements of the group that are I,
     or +-I when projective, mod m."""
     big, small = ring_tables(group.modulus), ring_tables(m)
-    down = [small.index(*big.pair(i)) for i in range(group.modulus.ring_size)]
-    one, zero = small.index(1, 0), small.index(0, 0)
+    down = [small.at(*big.pair(i)) for i in range(group.modulus.ring_size)]
+    one, zero = small.at(1, 0), small.at(0, 0)
     signs = {one, small.neg[one]} if group.projective else {one}
     return frozenset(x for x in group.elements
                      if down[x[1]] == zero and down[x[2]] == zero
