@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -66,16 +65,10 @@ def _modulus(args) -> Modulus:
     raise ValueError("a modulus is required (--mod N or --ideal G)")
 
 
-def _quotient_kwargs(args) -> dict:
-    kw = {"element_cap": args.element_cap}
-    if args.cache_dir and not args.no_cache:
-        kw["cache_dir"] = args.cache_dir
-    return kw
-
-
 def cmd_quotient(args) -> int:
     mod = _modulus(args)
-    q = build_quotient(mod, projective=not args.homogeneous, **_quotient_kwargs(args))
+    q = build_quotient(mod, projective=not args.homogeneous,
+                       element_cap=args.element_cap)
     rec = {"record": "quotient", "modulus": str(mod), "order": q.order,
            "projective": q.projective}
     items = [(rec, f"quotient mod {mod}: order {q.order}")]
@@ -90,7 +83,7 @@ def cmd_quotient(args) -> int:
 
 def cmd_closure(args) -> int:
     mod = _modulus(args)
-    q = build_quotient(mod, projective=True, **_quotient_kwargs(args))
+    q = build_quotient(mod, projective=True, element_cap=args.element_cap)
     seed = eval_word(parse_word(args.seed))
     h = normal_closure(q, [seed])
     # d is a kernel level iff h is the kernel of Q(M) -> Q(d); a kernel's
@@ -188,10 +181,8 @@ def build_parser() -> _Parser:
     def common(sp):
         sp.add_argument("--format", choices=("text", "json"), default="text")
 
-    def quotient_options(sp):  # the cache and cap of build_quotient
+    def quotient_options(sp):  # the cap of build_quotient
         common(sp)
-        sp.add_argument("--cache-dir", default=os.environ.get("HECKE5_CACHE_DIR"))
-        sp.add_argument("--no-cache", action="store_true")
         sp.add_argument("--element-cap", type=int, default=DEFAULT_ELEMENT_CAP,
                         help="most elements (residue table entries included) "
                              "to enumerate before giving up (exit 2); "

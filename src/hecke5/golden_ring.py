@@ -302,11 +302,6 @@ class RingTables:
 ring_tables = lru_cache(maxsize=64)(RingTables)
 
 
-def rational_integer_below(m: Modulus) -> int:
-    """Smallest positive rational integer in the ideal."""
-    return m.d1
-
-
 # ---------------------------------------------------------------------------
 # Prime classification.
 
@@ -347,10 +342,14 @@ def classify_rational_prime(p: int) -> PrimeClassification:
 
 
 def _split_factor(p: int) -> GoldenInt:
+    """The a + b*L of norm +-p with the least b, then the least a: the
+    roots of a^2 + ab - b^2 = +-p are a = (-b +- r) / 2, r^2 = 5b^2 +- 4p."""
     for b in range(p + 1):
-        for a in range(-p, p + 1):
-            if abs(a * a + a * b - b * b) == p:
-                return canonical_associate(GoldenInt(a, b))
+        roots = [(-b + sign * r) // 2
+                 for n in (5 * b * b - 4 * p, 5 * b * b + 4 * p) if n >= 0
+                 for r in [isqrt(n)] if r * r == n for sign in (-1, 1)]
+        if roots:
+            return canonical_associate(GoldenInt(min(roots), b))
     raise RuntimeError(f"no factor of split prime {p} found")  # unreachable
 
 

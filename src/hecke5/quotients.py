@@ -32,8 +32,7 @@ from .closure import (
 )
 from .closure import normal_closure as _normal_closure_engine
 from .golden_ring import (
-    GoldenInt, Modulus, classify_rational_prime, factor, rational_integer_below,
-    ring_tables,
+    GoldenInt, Modulus, classify_rational_prime, factor, ring_tables,
 )
 from .hecke_matrices import GMat, ProjMat, S_MAT, T_MAT
 
@@ -44,20 +43,6 @@ def _signed(neg: list[int], t: Key) -> Key:
     """The smaller of t and -t: the key of a matrix taken up to sign."""
     n = (neg[t[0]], neg[t[1]], neg[t[2]], neg[t[3]])
     return n if n < t else t
-
-
-def _make_mult(modulus: Modulus, projective: bool):
-    r = ring_tables(modulus)
-    red, mul, neg = r.red, r.mul, r.neg
-
-    def mult(x: Key, y: Key) -> Key:
-        y0, y1, y2, y3 = y
-        m0, m1, m2, m3 = mul[x[0]], mul[x[1]], mul[x[2]], mul[x[3]]
-        t = (red[m0[y0] + m1[y2]], red[m0[y1] + m1[y3]],
-             red[m2[y0] + m3[y2]], red[m2[y1] + m3[y3]])
-        return _signed(neg, t) if projective else t
-
-    return mult
 
 
 def _generator_actions(modulus: Modulus,
@@ -90,10 +75,22 @@ class QuotientGroup:
 
     @cached_property
     def _mult(self) -> Callable[[Key, Key], Key]:
-        return _make_mult(self.modulus, self.projective)
+        _refuse_mul(self)
+        r, projective = ring_tables(self.modulus), self.projective
+        red, mul, neg = r.red, r.mul, r.neg
+
+        def mult(x: Key, y: Key) -> Key:
+            y0, y1, y2, y3 = y
+            m0, m1, m2, m3 = mul[x[0]], mul[x[1]], mul[x[2]], mul[x[3]]
+            t = (red[m0[y0] + m1[y2]], red[m0[y1] + m1[y3]],
+                 red[m2[y0] + m3[y2]], red[m2[y1] + m3[y3]])
+            return _signed(neg, t) if projective else t
+
+        return mult
 
     @cached_property
     def _orbit(self) -> tuple[list[Key], list[int]]:
+        _refuse_mul(self)
         return _row_orbit(self.modulus, self.projective)
 
     @property
@@ -169,21 +166,26 @@ def _refuse_tables(modulus: Modulus, entries: int, element_cap: int) -> None:
                              f"entries, above the element cap of {element_cap}")
 
 
+def _refuse_mul(q: QuotientGroup) -> None:
+    """`mul` and the row orbit walked with it: ring_size**2 entries each."""
+    _refuse_tables(q.modulus, 2 * q.modulus.ring_size ** 2, q.element_cap)
+
+
 def build_quotient(modulus: Modulus, projective: bool = True,
                    element_cap: int = DEFAULT_ELEMENT_CAP,
                    cache_dir: str | Path | None = None) -> QuotientGroup:
     """The image of {S, T} mod `modulus`, built no further than its order.
 
-    Its residue tables are built on first use.  `mul` has ring_size**2
-    entries and the row orbit walked with it at most ring_size**2 rows, so
-    2 * ring_size**2 counts against the element cap here, whether either is
-    ever built or not.  With `cache_dir`, the row orbit is read from its
-    file if that loads, else walked and written.  A file that does not load
-    (bad magic, truncated) counts as missing and is rewritten.
+    Every use but `order` builds residue tables of 7 * ring_size entries,
+    which count against the element cap here; `mul` and the row orbit
+    count where they are first read (`_refuse_mul`).  With `cache_dir`,
+    the row orbit is read from its file if that loads, else walked and
+    written.  A file that does not load (bad magic, truncated) counts as
+    missing and is rewritten.
     """
     if element_cap < 1:
         raise ValueError(f"element cap must be at least 1, not {element_cap}")
-    _refuse_tables(modulus, 2 * modulus.ring_size ** 2, element_cap)
+    _refuse_tables(modulus, 7 * modulus.ring_size, element_cap)
     q = QuotientGroup(modulus, projective, element_cap)
     if cache_dir is not None:
         path = Path(cache_dir) / _cache_name(modulus, projective)
@@ -365,6 +367,7 @@ def _kernel(q: QuotientGroup, m: Modulus, size: int) -> frozenset[Key]:
     `quotient_order`, which gives `size`: a different count is an error."""
     if size > q.element_cap:
         raise _cap_reached(q.element_cap)
+    _refuse_mul(q)  # also for an orbit read from a file
     big, small = ring_tables(q.modulus), ring_tables(m)
     red, wide, mul = big.red, big.wide, big.mul
     down = [small.at(*big.pair(i)) for i in range(q.modulus.ring_size)]
@@ -408,7 +411,7 @@ def _prime_ideal_divisors(m: Modulus) -> list[tuple[GoldenInt, int]]:
     """Distinct prime ideal divisors of m with their residue field sizes N(P)."""
     out: list[tuple[GoldenInt, int]] = []
     gen = m.generator
-    for p in factor(rational_integer_below(m)):
+    for p in factor(m.d1):  # d1: the least positive integer in m
         cls = classify_rational_prime(p)
         for f in cls.factors:
             if gen.divisible_by(f):

@@ -44,6 +44,11 @@ def _result(check_id, params, passed, detail) -> CheckResult:
     return CheckResult(check_id, dict(params), bool(passed), detail)
 
 
+def _require_prime(p: int) -> None:
+    if p < 2 or factor(p) != {p: 1}:
+        raise ValueError("p must be a prime")
+
+
 # -- individual checks -------------------------------------------------------
 
 
@@ -59,8 +64,7 @@ def check_index_formula(a: str) -> CheckResult:
 def check_delta_grid(m: int, p: int) -> CheckResult:
     """Six translation-conjugate generators mod mp: elementary abelian p^6,
     for a prime p | m (and 4 | m when p = 2)."""
-    if p < 2 or factor(p) != {p: 1}:
-        raise ValueError("p must be a prime")
+    _require_prime(p)
     if m % p or (p == 2 and m % 4):
         raise ValueError("p must divide m, and 4 must divide m when p = 2")
     amb = build_quotient(Modulus.rational(m * p), projective=True)
@@ -204,14 +208,14 @@ def check_homogeneous_product(a: int, b: int) -> CheckResult:
 
 
 def check_oracle_unipotent(p: int) -> CheckResult:
-    if p < 2 or factor(p) != {p: 1}:
-        raise ValueError("p must be a prime")
+    _require_prime(p)
     ok = oracle.check_lemma_d1(p)
     return _result("oracle-unipotent", {"p": p}, ok,
                    f"SL(2,{p}) generated by the unipotent pair")
 
 
 def check_oracle_closure(m: int, p: int) -> CheckResult:
+    _require_prime(p)
     order = oracle.d2_closure_order(m, p)
     ok = order == oracle.reduction_kernel_order(m * p, m)
     return _result("oracle-closure", {"m": m, "p": p}, ok,

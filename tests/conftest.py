@@ -24,8 +24,8 @@ def low_element_cap(monkeypatch):
     """Lower the default element cap to 5000: that of the closure engine
     and the one `build_quotient` gives its quotients unless told otherwise,
     so an input that runs into the cap gets there in a fraction of a
-    second.  The residue tables of mod 7 (2 * 49**2 = 4802 entries) still
-    fit under it."""
+    second.  The residue tables of mod 7 (7 * 49 entries, and 2 * 49**2 =
+    4802 with `mul` and the row orbit) still fit under it."""
     cap = 5_000
     for fn in (closure.generated_closure, closure.subgroup,
                closure.normal_closure, closure.element_order):

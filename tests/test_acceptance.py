@@ -94,6 +94,14 @@ def test_unipotent_pair_needs_a_prime(p):
         run_check("D1", p=p)
 
 
+@pytest.mark.parametrize("m,p", [(1, 0), (2, 1), (2, 4), (1, 40), (3, 9)])
+def test_closure_oracle_needs_a_prime(m, p):
+    """Lemma D2, like D1, is a claim for a prime p: p = 1, 4 and 40 were
+    answered "pass"."""
+    with pytest.raises(ValueError, match="p must be a prime"):
+        run_check("D2", m=m, p=p)
+
+
 @pytest.mark.parametrize("m,p", [(m, p) for p in (1, 2, 3, 5)
                                  for m in range(1, 10) if m * p <= 30])
 def test_delta_residues_outside_its_domain(m, p):

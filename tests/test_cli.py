@@ -11,7 +11,9 @@ from hecke5 import cli, quotients
 from hecke5.cli import main
 from hecke5.congruence import CongruenceReport, is_congruence
 from hecke5.farey import parse_hfs, side_pairing
+from hecke5.golden_ring import GoldenInt, Modulus
 from hecke5.hecke_matrices import decompose
+from hecke5.quotients import quotient_order
 
 from test_farey import EXAMPLES
 
@@ -25,38 +27,37 @@ def invoke(capsys, *argv):
 class TestQuotient:
     @pytest.mark.parametrize("mod,order", [("1", 1), ("2", 10), ("8", 10240)])
     def test_rational_orders(self, capsys, mod, order):
-        code, out, _ = invoke(capsys, "quotient", "--mod", mod, "--no-cache")
+        code, out, _ = invoke(capsys, "quotient", "--mod", mod)
         assert code == 0
         assert f"order {order}" in out
 
     def test_ideal_modulus(self, capsys):
-        code, out, _ = invoke(capsys, "quotient", "--ideal", "2+L", "--no-cache")
+        code, out, _ = invoke(capsys, "quotient", "--ideal", "2+L")
         assert code == 0
         assert "order 60" in out
 
     @pytest.mark.parametrize("ideal,order", [("10*L", 75000), ("-3-L", 660)])
     def test_ideal_written_with_equals(self, capsys, ideal, order):
         # a value with a leading minus must be attached with "="
-        code, out, _ = invoke(capsys, "quotient", f"--ideal={ideal}",
-                              "--no-cache")
+        code, out, _ = invoke(capsys, "quotient", f"--ideal={ideal}")
         assert code == 0
         assert f"order {order}" in out
 
     def test_homogeneous(self, capsys):
         code, out, _ = invoke(
-            capsys, "quotient", "--mod", "6", "--homogeneous", "--no-cache")
+            capsys, "quotient", "--mod", "6", "--homogeneous")
         assert code == 0
         assert "order 1200" in out
 
     def test_histogram(self, capsys):
         code, out, _ = invoke(
-            capsys, "quotient", "--mod", "2", "--histogram", "--no-cache")
+            capsys, "quotient", "--mod", "2", "--histogram")
         assert code == 0
         assert "element orders: 1:1, 2:5, 5:4" in out
 
     def test_json_records(self, capsys):
         code, out, _ = invoke(capsys, "quotient", "--mod", "2",
-                              "--format", "json", "--no-cache")
+                              "--format", "json")
         assert code == 0
         header, rec = (json.loads(line) for line in out.strip().splitlines())
         assert header["record"] == "version"
@@ -65,48 +66,74 @@ class TestQuotient:
 
     def test_both_moduli_rejected(self, capsys):
         code, _, err = invoke(capsys, "quotient", "--mod", "2",
-                              "--ideal", "2+L", "--no-cache")
+                              "--ideal", "2+L")
         assert code == 1
         assert "not both" in err
 
     def test_missing_modulus(self, capsys):
-        code, _, err = invoke(capsys, "quotient", "--no-cache")
+        code, _, err = invoke(capsys, "quotient")
         assert code == 1
         assert "modulus is required" in err
 
     def test_cap_hit_is_undecided(self, capsys):
         code, _, err = invoke(capsys, "quotient", "--mod", "8",
-                              "--element-cap", "100", "--no-cache")
+                              "--element-cap", "100")
         assert code == 2
         assert "undecided" in err
 
     def test_ring_cap_is_undecided_at_once(self, capsys):
-        # the residue tables count against the element cap
+        # every use of a quotient but its order builds 7 * ring_size
+        # residue table entries, which count against the element cap
         start = time.perf_counter()
-        code, _, err = invoke(capsys, "quotient", "--mod", "33", "--no-cache")
+        code, out, err = invoke(capsys, "quotient", "--mod", "535")
         assert time.perf_counter() - start < 1
-        assert code == 2
-        assert err == ("undecided: residue tables mod 33 need 2371842 entries, "
+        assert (code, out) == (2, "")
+        assert err == ("undecided: residue tables mod 535 need 2003575 entries, "
                        "above the element cap of 2000000\n")
+
+    @pytest.mark.parametrize("option,value,modulus", [
+        ("--mod", "32", Modulus.rational(32)),
+        ("--mod", "33", Modulus.rational(33)),
+        ("--mod", "534", Modulus.rational(534)),
+        ("--ideal", "235-476*L", Modulus.ideal(GoldenInt(235, -476))),
+    ])
+    def test_order_needs_no_ring_squared_table(self, capsys, option, value,
+                                               modulus):
+        """`mul` and the row orbit (2 * ring_size**2 entries, above the cap
+        for all four) are refused only where they are read; an order reads
+        neither.  (235-476*L) is prime, of norm 283211."""
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "quotient", option, value)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (
+            0, f"quotient mod {modulus}: order {quotient_order(modulus)}\n")
+
+    def test_cache_options_are_gone(self, capsys):
+        for argv in (["--cache-dir", "/tmp"], ["--no-cache"]):
+            with pytest.raises(SystemExit) as exc:
+                invoke(capsys, "quotient", "--mod", "8", *argv)
+            assert exc.value.code == 1
+            assert (f"unrecognized arguments: {argv[0]}"
+                    in capsys.readouterr().err)
 
     def test_order_above_cap_is_undecided_at_once(self, capsys):
         # the histogram needs the elements; their number, 23392800, is known
         # before any is built
         start = time.perf_counter()
         code, out, err = invoke(capsys, "quotient", "--mod", "19",
-                                "--histogram", "--no-cache")
+                                "--histogram")
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert err == "undecided: closure reached the element cap of 2000000\n"
 
     def test_order_above_cap_is_answered(self, capsys):
-        code, out, _ = invoke(capsys, "quotient", "--mod", "19", "--no-cache")
+        code, out, _ = invoke(capsys, "quotient", "--mod", "19")
         assert (code, out) == (0, "quotient mod 19: order 23392800\n")
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_cap_below_one_is_input_error(self, capsys, cap):
         code, out, err = invoke(capsys, "quotient", "--mod", "8",
-                                "--element-cap", cap, "--no-cache")
+                                "--element-cap", cap)
         assert (code, out) == (1, "")
         assert err == f"error: element cap must be at least 1, not {cap}\n"
 
@@ -114,21 +141,21 @@ class TestQuotient:
 class TestClosure:
     def test_whole_quotient(self, capsys):
         code, out, _ = invoke(capsys, "closure", "--mod", "2",
-                              "--seed", "T", "--no-cache")
+                              "--seed", "T")
         assert code == 0
         assert "order 10" in out
         assert "level 1" in out
 
     def test_trivial_closure(self, capsys):
         code, out, _ = invoke(capsys, "closure", "--mod", "4",
-                              "--seed", "T^4", "--no-cache")
+                              "--seed", "T^4")
         assert code == 0
         assert "order 1" in out
         assert "level 4" in out
 
     def test_strict_subgroup_of_kernel(self, capsys):
         code, out, _ = invoke(capsys, "closure", "--mod", "8",
-                              "--seed", "T^4", "--format", "json", "--no-cache")
+                              "--seed", "T^4", "--format", "json")
         assert code == 0
         rec = json.loads(out.strip().splitlines()[1])
         assert rec["order"] == 32
@@ -139,7 +166,7 @@ class TestClosure:
     ])
     def test_kernel_levels(self, capsys, mod, seed, order, levels):
         code, out, _ = invoke(capsys, "closure", "--mod", mod, "--seed", seed,
-                              "--format", "json", "--no-cache")
+                              "--format", "json")
         assert code == 0
         rec = json.loads(out.strip().splitlines()[1])
         assert (rec["order"], rec["kernel_levels"]) == (order, levels)
@@ -147,7 +174,7 @@ class TestClosure:
     def test_element_cap_bounds_normal_closure(self, capsys, low_element_cap):
         # |Q(5)| = 7500, and T's normal closure is all of it
         code, out, _ = invoke(capsys, "closure", "--mod", "5", "--seed", "T",
-                              "--element-cap", "10000", "--no-cache")
+                              "--element-cap", "10000")
         assert code == 0
         assert "order 7500" in out
 
@@ -156,22 +183,32 @@ class TestClosure:
         # it differs from the closure in order, so nothing is refused
         code, out, _ = invoke(capsys, "closure", "--mod", "16", "--seed",
                               "T^2", "--element-cap", "200000", "--format",
-                              "json", "--no-cache")
+                              "json")
         assert code == 0
         rec = json.loads(out.strip().splitlines()[1])
         assert (rec["order"], rec["kernel_levels"]) == (65536, [2])
 
     def test_ideal_gets_kernel_levels(self, capsys):
         outs = [invoke(capsys, "closure", option, "4", "--seed", "T^2",
-                       "--format", "json", "--no-cache")[1].splitlines()[1]
+                       "--format", "json")[1].splitlines()[1]
                 for option in ("--mod", "--ideal")]
         recs = [json.loads(out) for out in outs]
         assert recs[1]["modulus"] == "(4)"
         assert recs[1]["kernel_levels"] == recs[0]["kernel_levels"] == [2]
 
+    def test_ring_squared_tables_are_refused_where_read(self, capsys):
+        # the normal closure multiplies, so it reads `mul` mod 32
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "closure", "--mod", "32",
+                                "--seed", "T^16")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == ("undecided: residue tables mod 32 need 2097152 entries, "
+                       "above the element cap of 2000000\n")
+
     def test_bad_seed_word(self, capsys):
         code, _, err = invoke(capsys, "closure", "--mod", "2",
-                              "--seed", "T^", "--no-cache")
+                              "--seed", "T^")
         assert code == 1
         assert "error" in err
 
@@ -376,21 +413,15 @@ class TestCensus:
 
 
 @pytest.mark.parametrize("argv,builds", [
-    (["quotient", "--mod", "16", "--no-cache"], False),
-    (["closure", "--mod", "16", "--seed", "T^4", "--no-cache"], False),
+    (["quotient", "--mod", "16"], False),
+    (["closure", "--mod", "16", "--seed", "T^4"], False),
     (["congruence", "--hfs", EXAMPLES["i5-level4"][0]], False),
-    (["quotient", "--mod", "8", "--histogram", "--no-cache"], True),
+    (["quotient", "--mod", "8", "--histogram"], True),
     (["verify", "--lemma", "2.3"], False),
-    (["quotient", "--mod", "16", "--cache-dir", "{cache}"], False),
-    (["closure", "--mod", "16", "--seed", "T^4", "--cache-dir", "{cache}"],
-     False),
 ])
-def test_element_sets_built_only_when_read(capsys, monkeypatch, tmp_path,
-                                           argv, builds):
-    """Orders come from `quotient_order`, kernels and the disk cache from
-    the row orbit; only a histogram builds the element set.  Each command
-    runs twice: with a cache directory, once writing its file, once reading
-    it."""
+def test_element_sets_built_only_when_read(capsys, monkeypatch, argv, builds):
+    """Orders come from `quotient_order` and kernels from the row orbit;
+    only a histogram builds the element set."""
     built = []
 
     def elements(q):
@@ -401,11 +432,8 @@ def test_element_sets_built_only_when_read(capsys, monkeypatch, tmp_path,
 
     real = quotients.QuotientGroup.__dict__["elements"]
     monkeypatch.setattr(quotients.QuotientGroup, "elements", property(elements))
-    argv = [a.format(cache=tmp_path) for a in argv]
-    for _ in range(2):
-        assert invoke(capsys, *argv)[0] == 0
+    assert invoke(capsys, *argv)[0] == 0
     assert bool(built) == builds
-    assert any(tmp_path.iterdir()) == ("--cache-dir" in argv)
 
 
 def test_version_flag(capsys):

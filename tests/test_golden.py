@@ -5,10 +5,9 @@ from hypothesis import example, given, strategies as st
 from sympy import isprime
 
 from hecke5.golden_ring import (
-    GoldenInt, LAMBDA, ONE, ZERO, Modulus, RAMIFIED_PRIME,
+    GoldenInt, LAMBDA, ONE, ZERO, Modulus, RAMIFIED_PRIME, _split_factor,
     canonical_associate, classify_rational_prime, emb_abs_less, factor,
-    emb_ratio_round, emb_sign, parse_golden, rational_integer_below,
-    ring_tables,
+    emb_ratio_round, emb_sign, parse_golden, ring_tables,
 )
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
@@ -112,6 +111,29 @@ def test_classification():
     assert Modulus.ideal(RAMIFIED_PRIME * RAMIFIED_PRIME) == Modulus.rational(5)
 
 
+def split_factor_by_search(p):
+    """The first a + b*L of norm +-p, by b in 0..p and then a in -p..p: the
+    oracle for `_split_factor`, which solves for a."""
+    for b in range(p + 1):
+        for a in range(-p, p + 1):
+            if abs(a * a + a * b - b * b) == p:
+                return canonical_associate(GoldenInt(a, b))
+
+
+def test_split_factor_matches_the_search():
+    primes = [p for p in range(11, 5000) if p % 10 in (1, 9) and isprime(p)]
+    assert len(primes) == 326
+    for p in primes:
+        assert _split_factor(p) == split_factor_by_search(p), p
+
+
+def test_split_factor_of_a_large_prime():
+    # the norm of 235-476*L, an ideal whose 7 * 283211 residue table
+    # entries fit under the default element cap
+    assert _split_factor(283211) == GoldenInt(235, -476)
+    assert classify_rational_prime(283211).kind == "split"
+
+
 def test_classification_rejects_composite():
     with pytest.raises(ValueError):
         classify_rational_prime(6)
@@ -146,9 +168,10 @@ class TestModulus:
         assert Modulus.ideal(GoldenInt(3, 1)).ring_size == 11
 
     def test_rational_integer_below(self):
-        assert rational_integer_below(Modulus.ideal(RAMIFIED_PRIME)) == 5
-        assert rational_integer_below(Modulus.ideal(GoldenInt(3, 1))) == 11
-        assert rational_integer_below(Modulus.rational(6)) == 6
+        # d1 is the least positive rational integer in the ideal
+        assert Modulus.ideal(RAMIFIED_PRIME).d1 == 5
+        assert Modulus.ideal(GoldenInt(3, 1)).d1 == 11
+        assert Modulus.rational(6).d1 == 6
 
     def test_divides(self):
         assert Modulus.rational(2).divides(Modulus.rational(6))

@@ -53,15 +53,35 @@ class TestOrders:
         assert q(1).order == 1
 
     def test_ring_cap(self):
+        # every use but the order builds 7 * ring_size entries: refused here
+        with pytest.raises(UndecidedError, match="mod 535 need 2003575 "
+                                                 "entries, above the element "
+                                                 "cap of 2000000"):
+            build_quotient(Modulus.rational(535))
         with pytest.raises(UndecidedError):
             build_quotient(Modulus.rational(10**9))
-        with pytest.raises(UndecidedError):
-            build_quotient(Modulus.rational(33))  # 2 * 1089**2 entries > 2M
-        # mul mod 2 has 4**2 entries, and the row orbit at most 4**2 rows
+        mod = Modulus.rational(534)
+        assert build_quotient(mod).order == quotient_order(mod)
+        # mul and the row orbit, 2 * 1089**2 entries, are refused where read
+        group = build_quotient(Modulus.rational(33))
+        reads = [lambda: group.mult(group.identity, group.gen_T),
+                 lambda: orbit_order(group),
+                 lambda: set(kernel_subgroup(group, group.modulus).members)]
+        for read in reads:
+            with pytest.raises(UndecidedError, match="mod 33 need 2371842 "
+                                                     "entries"):
+                read()
+        # mod 2: 7 * 4 entries, then 2 * 4**2
+        with pytest.raises(UndecidedError, match="mod 2 need 28 entries, "
+                                                 "above the element cap of 27"):
+            build_quotient(Modulus.rational(2), element_cap=27)
+        small = build_quotient(Modulus.rational(2), element_cap=31)
+        assert small.order == 10
         with pytest.raises(UndecidedError, match="mod 2 need 32 entries, "
                                                  "above the element cap of 31"):
-            build_quotient(Modulus.rational(2), element_cap=31)
-        assert build_quotient(Modulus.rational(2), element_cap=32).order == 10
+            small.elements
+        assert len(build_quotient(Modulus.rational(2), element_cap=32)
+                   .elements) == 10
         with pytest.raises(ValueError, match="at least 1, not 0"):
             build_quotient(Modulus.rational(2), element_cap=0)
 
@@ -344,9 +364,11 @@ def test_order_formula_matches_the_orbit(mod, projective):
 
 
 def test_an_order_builds_no_tables():
-    """|Q(31)| is `quotient_order`: no residue table is built for it."""
+    """|Q(31)| and |Q(32)| are `quotient_order`: no residue table is built
+    for them, though mod 32 `mul` alone would pass the element cap."""
     ring_tables.cache_clear()
     assert build_quotient(Modulus.rational(31)).order == 442828800
+    assert build_quotient(Modulus.rational(32)).order == 41943040
     assert ring_tables.cache_info().currsize == 0
 
 
@@ -421,6 +443,11 @@ def test_cached_quotient_obeys_element_cap(tmp_path):
             build_quotient(mod, element_cap=9000, cache_dir=cache_dir).elements
     assert build_quotient(mod, element_cap=10240,
                           cache_dir=tmp_path).order == 10240
+    # mul mod 8 has 64**2 entries: refused with the orbit read from the file
+    loaded = build_quotient(mod, element_cap=8191, cache_dir=tmp_path)
+    assert "_orbit" in vars(loaded)
+    with pytest.raises(UndecidedError, match="mod 8 need 8192 entries"):
+        set(kernel_subgroup(loaded, Modulus.rational(4)).members)
 
 
 def test_cache_dir_leaves_an_order_above_the_cap_alone(
