@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hecke5 import cli, quotients
+from hecke5 import __version__, cli, quotients
 from hecke5.cli import main
 from hecke5.congruence import CongruenceReport, is_congruence
 from hecke5.farey import parse_hfs, side_pairing
@@ -16,6 +16,8 @@ from hecke5.hecke_matrices import decompose
 from hecke5.quotients import quotient_order
 
 from test_farey import EXAMPLES
+
+DATA = Path(__file__).parent / "data"
 
 
 def invoke(capsys, *argv):
@@ -272,6 +274,28 @@ class TestVerify:
         assert code == 1
         assert "--lemma" in err
 
+    def test_all_matches_the_golden_text(self, capsys):
+        code, out, err = invoke(capsys, "verify", "--all")
+        assert (code, err) == (0, "")
+        assert out == (DATA / "verify_all.txt").read_text()
+
+    def test_all_matches_the_golden_json(self, capsys):
+        # the version record heads the stream; the check records follow it
+        code, out, err = invoke(capsys, "verify", "--all", "--format", "json")
+        assert (code, err) == (0, "")
+        head, *checks = out.splitlines()
+        assert json.loads(head) == {"record": "version", "version": __version__}
+        golden = (DATA / "verify_all.jsonl").read_text().splitlines()
+        assert checks == golden[1:]
+
+    @pytest.mark.parametrize("case", json.loads(
+        (DATA / "verify_errors.json").read_text()),
+        ids=lambda case: " ".join(case["argv"][2:]))
+    def test_outside_the_domain_matches_the_golden_error(self, capsys, case):
+        """One input outside each check's domain (2.6 takes no parameters)."""
+        assert invoke(capsys, *case["argv"]) == (case["exit"], "",
+                                                 case["stderr"])
+
 
 class TestCongruence:
     def test_whole_group_from_generators(self, capsys):
@@ -374,7 +398,7 @@ class TestCensus:
         # own low-index search; re-recorded when it replaced sympy's
         code, out, _ = invoke(capsys, "census", "--index", "5")
         assert code == 0
-        assert out == (Path(__file__).parent / "data" / "census_index5.txt").read_text()
+        assert out == (DATA / "census_index5.txt").read_text()
 
     def test_rows_need_no_quotient(self, capsys, monkeypatch):
         """Census rows and congruence reports walk no row orbit: their
