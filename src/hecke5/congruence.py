@@ -26,6 +26,7 @@ from .quotients import (
 )
 
 DEFAULT_COSET_CAP = 5_000
+MAX_WORD_LETTERS = 1_000_000
 MAX_CENSUS_INDEX = 12
 
 
@@ -85,7 +86,13 @@ _RELATORS = ([0, 0], [2] * 5)
 
 
 def _letters(w: Word) -> list[int]:
-    """`w` as a freely reduced list of columns, with T = s*u."""
+    """`w` as a freely reduced list of columns, with T = s*u.  A word of
+    more than MAX_WORD_LETTERS columns is refused before the list is built:
+    scanning it may take a step per column however small the table."""
+    length = sum(abs(exp) * (1 if gen == "S" else 2) for gen, exp in w.letters)
+    if length > MAX_WORD_LETTERS:
+        raise ValueError(f"a generator word has {length} letters in s and u, "
+                         f"above the bound of {MAX_WORD_LETTERS}")
     out: list[int] = []
     for gen, exp in w.letters:
         unit = [0] if gen == "S" else [0, 2]

@@ -330,8 +330,22 @@ def factor(n: int) -> dict[int, int]:
     return out
 
 
+def is_prime(n: int) -> bool:
+    """Miller-Rabin to the prime bases up to 37, exact for n < 3.18e23
+    (Sorenson and Webster, 2015); no trial division."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    for a in bases:  # mod a prime, x = 1 or one of its squarings is -1
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 2**i, n) != n - 1 for i in range(s)):
+            return False
+    return True
+
+
 def classify_rational_prime(p: int) -> PrimeClassification:
-    if p < 2 or factor(p) != {p: 1}:
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p == 5:
         return PrimeClassification("ramified", (RAMIFIED_PRIME,))

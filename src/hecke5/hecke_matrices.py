@@ -288,15 +288,11 @@ def delta_prime(m: int) -> int | None:
     return min((q for q in factor(m) if q % 2), default=None)
 
 
-def delta_m(m: int) -> list[ProjMat]:
-    return [eval_word(w) for w in delta_m_words(m)]
-
-
 def elementary_generators(m: int) -> list[GMat]:
     """The six explicit det-1 matrices generating the order-p^6 group mod mp.
 
-    These are the matrix *residue representatives*; unlike `delta_m` they need
-    not lie in the group itself.
+    These are the matrix *residue representatives*; unlike the values of
+    `delta_m_words` they need not lie in the group itself.
     """
     lam = LAMBDA
     lam2 = lam * lam
@@ -336,10 +332,6 @@ def appendix_b_words(m: int) -> list[Word]:
     return [w["A"], w["B"], w["C"], ge, _conj(t1, ge)]
 
 
-def appendix_b_set(m: int) -> list[ProjMat]:
-    return [eval_word(w) for w in appendix_b_words(m)]
-
-
 def appendix_c_words(m: int) -> list[Word]:
     """Six words in the normal closure of T^m for 4 | m, built on Y = GEGF."""
     if m % 4 != 0:
@@ -349,7 +341,3 @@ def appendix_c_words(m: int) -> list[Word]:
     s, t1 = _s_word(), word([("T", 1)])
     a2 = word([("T", 2 * m)])
     return [a2, _conj(s, a2), _conj(t1, _conj(s, a2)), _conj(s, y), y, _conj(t1, y)]
-
-
-def appendix_c_set(m: int) -> list[ProjMat]:
-    return [eval_word(w) for w in appendix_c_words(m)]

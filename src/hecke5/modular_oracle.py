@@ -60,7 +60,12 @@ def build_sl2_quotient(n: int) -> IntQuotient:
     """SL(2, Z/n), the image of SL(2, Z) (onto, so S and T generate it)."""
     if n < 1:
         raise ValueError("modulus must be positive")
-    order = n ** 3  # |SL(2, Z/n)| = n^3 prod over primes p | n of (1 - p^-2)
+    # |SL(2, Z/n)| = n^3 prod over primes p | n of (1 - p^-2) > n^3 / 2, so
+    # an n above the cap is refused before it is factored
+    if n > DEFAULT_ELEMENT_CAP:
+        raise UndecidedError(f"SL(2, Z/{n}) has over {n}^3 / 2 elements, "
+                             f"above the element cap of {DEFAULT_ELEMENT_CAP}")
+    order = n ** 3
     for p in factor(n):
         order = order // (p * p) * (p * p - 1)
     if order > DEFAULT_ELEMENT_CAP:  # bounds the closures inside it
@@ -99,15 +104,10 @@ def reduction_kernel_order(big: int, small: int) -> int:
 
 
 def check_lemma_d1(p: int) -> bool:
-    """The two unipotent families generate all of SL(2, p)."""
+    """The two unipotent families generate all of SL(2, p): already their
+    members U(1) and L(1) do."""
     q = build_sl2_quotient(p)
-    gens = [q.mat(1, x, 0, 1) for x in range(1, p)]
-    gens += [q.mat(1, 0, y, 1) for y in range(1, p)]
-    closure = _subgroup_closure(q, gens)
-    if len(closure) != q.order:
-        return False
-    # already the single pair U(1), L(1) suffices
-    return len(_subgroup_closure(q, [q.mat(1, 1, 0, 1), q.mat(1, 0, 1, 1)])) == q.order
+    return len(_subgroup_closure(q, [q.gen_t, q.mat(1, 0, 1, 1)])) == q.order
 
 
 def d2_closure_order(m: int, p: int) -> int:
@@ -116,11 +116,13 @@ def d2_closure_order(m: int, p: int) -> int:
     return len(_closure_normal(q, [_pow(q, q.gen_t, m)]))
 
 
-def check_lemma_d2(m: int, p: int) -> bool:
-    """Normal closure of T^m mod mp is the full kernel of reduction to mod m."""
-    return d2_closure_order(m, p) == reduction_kernel_order(m * p, m)
+def lemma_d2(m: int, p: int) -> tuple[bool, int]:
+    """Whether the normal closure of T^m mod mp is the full kernel of
+    reduction to mod m, with the closure's order."""
+    order = d2_closure_order(m, p)
+    return order == reduction_kernel_order(m * p, m), order
 
 
 def check_wohlfahrt_instance(r: int, s: int) -> bool:
     """Normal closure of T^s together with Gamma(rs) is Gamma(s), mod rs."""
-    return check_lemma_d2(s, r)
+    return lemma_d2(s, r)[0]

@@ -2,22 +2,25 @@
 
 Each entry decides a single finite instance of one of the library's
 structural claims (kernel indexes, normal closures, generator collapses,
-and their classical SL(2, Z/n) analogs).  `run_check` evaluates one
-instance; `run_all` sweeps every default grid.
+and their classical SL(2, Z/n) analogs).  Claims of one shape share one
+function: the six closure lemmas are the rows of `CLOSURES`, and the
+generator families of 2.2, B and C share `_family_order`.  `run_check`
+evaluates one instance; `run_all` sweeps every default grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 from operator import eq, ge
 from typing import Callable
 
 from .closure import DEFAULT_ELEMENT_CAP
-from .golden_ring import GoldenInt, Modulus, factor, parse_golden
+from .golden_ring import GoldenInt, Modulus, is_prime, parse_golden
 from . import modular_oracle as oracle
 from .hecke_matrices import (
-    appendix_b_set, appendix_c_set, decompose, delta_m, delta_m_words,
+    appendix_b_words, appendix_c_words, decompose, delta_m_words,
     delta_prime, elementary_generators, eval_word, omega_2, word,
 )
 from .quotients import (
@@ -45,7 +48,7 @@ def _result(check_id, params, passed, detail) -> CheckResult:
 
 
 def _require_prime(p: int) -> None:
-    if p < 2 or factor(p) != {p: 1}:
+    if not is_prime(p):
         raise ValueError("p must be a prime")
 
 
@@ -61,21 +64,28 @@ def check_index_formula(a: str) -> CheckResult:
                    f"formula {expected}, enumeration {got}")
 
 
+def _family_order(check_id: str, params: dict, modulus: int, family,
+                  expected: int, p: int | None = None) -> CheckResult:
+    """The subgroup of Q(modulus) generated by `family()` has order
+    `expected`, and is elementary abelian when a prime p is given.  The
+    family is built after Q(modulus), so a bad modulus is named first."""
+    amb = build_quotient(Modulus.rational(modulus), projective=True)
+    h = subgroup_closure(amb, family())
+    ok = h.order == expected and (p is None or check_elementary_abelian(h, p))
+    return _result(check_id, params, ok,
+                   f"order {h.order}, expected {expected}")
+
+
 def check_delta_grid(m: int, p: int) -> CheckResult:
     """Six translation-conjugate generators mod mp: elementary abelian p^6,
     for a prime p | m (and 4 | m when p = 2)."""
     _require_prime(p)
     if m % p or (p == 2 and m % 4):
         raise ValueError("p must divide m, and 4 must divide m when p = 2")
-    amb = build_quotient(Modulus.rational(m * p), projective=True)
-    if delta_prime(m) is not None:
-        gens = delta_m(m)
-    else:
-        gens = elementary_generators(m)
-    h = subgroup_closure(amb, gens)
-    ok = h.order == p**6 and check_elementary_abelian(h, p)
-    return _result("delta-grid", {"m": m, "p": p}, ok,
-                   f"order {h.order}, expected {p**6}")
+    return _family_order(
+        "delta-grid", {"m": m, "p": p}, m * p,
+        lambda: (list(map(eval_word, delta_m_words(m))) if delta_prime(m)
+                 else elementary_generators(m)), p**6, p)
 
 
 def check_delta_residues(m: int, p: int) -> CheckResult:
@@ -84,8 +94,7 @@ def check_delta_residues(m: int, p: int) -> CheckResult:
     if p != delta_prime(m):
         raise ValueError("p must be the smallest odd prime factor of m")
     amb = build_quotient(Modulus.rational(m * p), projective=True)
-    words = delta_m_words(m)
-    got = {amb.key_of(eval_word(w)) for w in words}
+    got = {amb.key_of(eval_word(w)) for w in delta_m_words(m)}
     want = {amb.key_of(g) for g in elementary_generators(m)}
     return _result("delta-residues", {"m": m, "p": p}, got == want,
                    f"{len(got & want)}/6 residues match")
@@ -101,18 +110,45 @@ def check_kernel_ladder(pi: str) -> CheckResult:
     q = build_quotient(Modulus.ideal(g * two * two), projective=True)
     k = kernel_subgroup(q, Modulus.ideal(g * two))
     size = len(frozenset(k.members))
-    expected = 16 if abs(g.norm()) == 1 else 32
-    detail = f"order {size}, expected {expected}"
-    if abs(g.norm()) == 1:
-        return _result("kernel-ladder", {"pi": pi},
-                       size == 16 and check_elementary_abelian(k, 2), detail)
-    return _result("kernel-ladder", {"pi": pi}, size == expected, detail)
+    unit = abs(g.norm()) == 1
+    expected = 16 if unit else 32
+    ok = size == expected and (not unit or check_elementary_abelian(k, 2))
+    return _result("kernel-ladder", {"pi": pi}, ok,
+                   f"order {size}, expected {expected}")
 
 
-def _closure_vs_kernel(check_id: str, params: dict, modulus: int, power: int,
-                       level: int, relation) -> CheckResult:
-    """Compare N(G(modulus), T^power) with G(level) inside Q(modulus):
-    `relation` takes the two member sets, closure first."""
+# Each closure lemma compares N(G(M), T^k) with G(d) inside Q(M).  A row
+# holds the check name, the domain test and its error, (M, k, d) from the
+# parameters, and the relation of the two member sets, closure first.
+CLOSURES = {
+    # 3.2: N(G(ab), T^b) = G(b) for coprime a, b
+    "3.2": ("closure-coprime", lambda a, b: gcd(a, b) == 1,
+            "a and b must be coprime", lambda a, b: (a * b, b, b), eq),
+    # 3.3: N(G(mn), T^m) = G(m) for odd n
+    "3.3": ("closure-odd", lambda m, n: n % 2, "n must be odd",
+            lambda m, n: (m * n, m, m), eq),
+    # 3.5: N(G(4m), T^2m) = G(2m) for odd m
+    "3.5": ("closure-4m", lambda m: m % 2, "m must be odd",
+            lambda m: (4 * m, 2 * m, 2 * m), eq),
+    # 3.6: N(G(8m), T^2m) = G(2m) for odd m
+    "3.6": ("closure-8m", lambda m: m % 2, "m must be odd",
+            lambda m: (8 * m, 2 * m, 2 * m), eq),
+    # 3.7: G(2m) <= N(G(4m), T^m) for m a multiple of 4
+    "3.7": ("closure-contains", lambda m: m % 4 == 0,
+            "m must be a multiple of 4", lambda m: (4 * m, m, 2 * m), ge),
+    # 3.8: [N(G(4m), T^2m) : G(4m)] = 2^5 (< 2^6) for even m
+    "3.8": ("closure-strict", lambda m: m % 2 == 0, "m must be even",
+            lambda m: (4 * m, 2 * m, 2 * m),
+            lambda h, k: len(h) == 32 and len(k) == 64 and h < k),
+}
+
+
+def check_closure(lemma: str, **params) -> CheckResult:
+    """The closure lemma `lemma`, a key of `CLOSURES`, at `params`."""
+    check_id, domain, error, instance, relation = CLOSURES[lemma]
+    if not domain(**params):
+        raise ValueError(error)
+    modulus, power, level = instance(**params)
     q = build_quotient(Modulus.rational(modulus), projective=True)
     h = normal_closure(q, [eval_word(word([("T", power)]))])
     k = kernel_subgroup(q, Modulus.rational(level))
@@ -120,69 +156,21 @@ def _closure_vs_kernel(check_id: str, params: dict, modulus: int, power: int,
                    f"closure {h.order}, kernel {k.order}")
 
 
-def check_closure_coprime(a: int, b: int) -> CheckResult:
-    """N(G(ab), T^b) = G(b) for coprime a, b."""
-    if gcd(a, b) != 1:
-        raise ValueError("a and b must be coprime")
-    return _closure_vs_kernel("closure-coprime", {"a": a, "b": b}, a * b, b, b, eq)
-
-
-def check_closure_odd(m: int, n: int) -> CheckResult:
-    """N(G(mn), T^m) = G(m) for odd n."""
-    if n % 2 == 0:
-        raise ValueError("n must be odd")
-    return _closure_vs_kernel("closure-odd", {"m": m, "n": n}, m * n, m, m, eq)
-
-
-def check_closure_4m(m: int) -> CheckResult:
-    """N(G(4m), T^2m) = G(2m) for odd m."""
-    if m % 2 == 0:
-        raise ValueError("m must be odd")
-    return _closure_vs_kernel("closure-4m", {"m": m}, 4 * m, 2 * m, 2 * m, eq)
-
-
-def check_closure_8m(m: int) -> CheckResult:
-    """N(G(8m), T^2m) = G(2m) for odd m."""
-    if m % 2 == 0:
-        raise ValueError("m must be odd")
-    return _closure_vs_kernel("closure-8m", {"m": m}, 8 * m, 2 * m, 2 * m, eq)
-
-
-def check_closure_contains(m: int) -> CheckResult:
-    """G(2m) <= N(G(4m), T^m) for m a multiple of 4."""
-    if m % 4:
-        raise ValueError("m must be a multiple of 4")
-    return _closure_vs_kernel("closure-contains", {"m": m}, 4 * m, m, 2 * m, ge)
-
-
-def check_closure_strict(m: int) -> CheckResult:
-    """[N(G(4m), T^2m) : G(4m)] = 2^5 (< 2^6) for even m."""
-    if m % 2:
-        raise ValueError("m must be even")
-    return _closure_vs_kernel(
-        "closure-strict", {"m": m}, 4 * m, 2 * m, 2 * m,
-        lambda h, k: len(h) == 32 and len(k) == 64 and h < k)
-
-
 def check_translation_collapse(m: int) -> CheckResult:
     """Five-word generator family: order 2^4 mod 4 (m=1), 2^5 mod 4m (odd m>1)."""
     if m % 2 == 0:
         raise ValueError("m must be odd")
-    amb = build_quotient(Modulus.rational(4 * m), projective=True)
-    h = subgroup_closure(amb, appendix_b_set(m))
-    expected = 16 if m == 1 else 32
-    return _result("translation-collapse", {"m": m}, h.order == expected,
-                   f"order {h.order}, expected {expected}")
+    return _family_order("translation-collapse", {"m": m}, 4 * m,
+                         lambda: list(map(eval_word, appendix_b_words(m))),
+                         16 if m == 1 else 32)
 
 
 def check_translation_collapse_4(m: int) -> CheckResult:
     """Six-word generator family for 4 | m: order 2^6 mod 4m."""
     if m % 4:
         raise ValueError("m must be a multiple of 4")
-    amb = build_quotient(Modulus.rational(4 * m), projective=True)
-    h = subgroup_closure(amb, appendix_c_set(m))
-    return _result("translation-collapse-4", {"m": m}, h.order == 64,
-                   f"order {h.order}, expected 64")
+    return _family_order("translation-collapse-4", {"m": m}, 4 * m,
+                         lambda: list(map(eval_word, appendix_c_words(m))), 64)
 
 
 def check_level2_generators() -> CheckResult:
@@ -216,8 +204,7 @@ def check_oracle_unipotent(p: int) -> CheckResult:
 
 def check_oracle_closure(m: int, p: int) -> CheckResult:
     _require_prime(p)
-    order = oracle.d2_closure_order(m, p)
-    ok = order == oracle.reduction_kernel_order(m * p, m)
+    ok, order = oracle.lemma_d2(m, p)
     return _result("oracle-closure", {"m": m, "p": p}, ok,
                    f"closure order {order}")
 
@@ -234,39 +221,37 @@ def check_oracle_wohlfahrt(r: int, s: int) -> CheckResult:
 @dataclass(frozen=True)
 class Check:
     fn: Callable[..., CheckResult]
-    params: tuple[str, ...]
-    grid: tuple[dict, ...]
+    grid: tuple[dict, ...]  # every entry names all the parameters
 
 
 REGISTRY: dict[str, Check] = {
-    "2.1": Check(check_index_formula, ("a",),
+    "2.1": Check(check_index_formula,
                  ({"a": "2"}, {"a": "3"}, {"a": "2+L"}, {"a": "4"})),
-    "2.2": Check(check_delta_grid, ("m", "p"),
+    "2.2": Check(check_delta_grid,
                  ({"m": 3, "p": 3}, {"m": 5, "p": 5},
                   {"m": 6, "p": 3}, {"m": 4, "p": 2})),
-    "2.3": Check(check_kernel_ladder, ("pi",),
+    "2.3": Check(check_kernel_ladder,
                  ({"pi": "1"}, {"pi": "3"}, {"pi": "2+L"})),
-    "2.4": Check(check_homogeneous_product, ("a", "b"),
-                 ({"a": 2, "b": 3},)),
-    "2.6": Check(check_level2_generators, (), ({},)),
-    "3.2": Check(check_closure_coprime, ("a", "b"),
+    "2.4": Check(check_homogeneous_product, ({"a": 2, "b": 3},)),
+    "2.6": Check(check_level2_generators, ({},)),
+    "3.2": Check(partial(check_closure, "3.2"),
                  ({"a": 3, "b": 2}, {"a": 2, "b": 3})),
-    "3.3": Check(check_closure_odd, ("m", "n"),
+    "3.3": Check(partial(check_closure, "3.3"),
                  ({"m": 2, "n": 3}, {"m": 1, "n": 3}, {"m": 1, "n": 5})),
-    "3.5": Check(check_closure_4m, ("m",), ({"m": 1}, {"m": 3})),
-    "3.6": Check(check_closure_8m, ("m",), ({"m": 1},)),
-    "3.7": Check(check_closure_contains, ("m",), ({"m": 4},)),
-    "3.8": Check(check_closure_strict, ("m",), ({"m": 2},)),
-    "A": Check(check_delta_residues, ("m", "p"),
+    "3.5": Check(partial(check_closure, "3.5"), ({"m": 1}, {"m": 3})),
+    "3.6": Check(partial(check_closure, "3.6"), ({"m": 1},)),
+    "3.7": Check(partial(check_closure, "3.7"), ({"m": 4},)),
+    "3.8": Check(partial(check_closure, "3.8"), ({"m": 2},)),
+    "A": Check(check_delta_residues,
                ({"m": 3, "p": 3}, {"m": 6, "p": 3}, {"m": 5, "p": 5})),
-    "B": Check(check_translation_collapse, ("m",), ({"m": 1}, {"m": 3})),
-    "C": Check(check_translation_collapse_4, ("m",), ({"m": 4},)),
-    "D1": Check(check_oracle_unipotent, ("p",),
+    "B": Check(check_translation_collapse, ({"m": 1}, {"m": 3})),
+    "C": Check(check_translation_collapse_4, ({"m": 4},)),
+    "D1": Check(check_oracle_unipotent,
                 ({"p": 2}, {"p": 3}, {"p": 5}, {"p": 7})),
-    "D2": Check(check_oracle_closure, ("m", "p"),
+    "D2": Check(check_oracle_closure,
                 ({"m": 2, "p": 2}, {"m": 2, "p": 3},
                  {"m": 3, "p": 2}, {"m": 6, "p": 2})),
-    "W": Check(check_oracle_wohlfahrt, ("r", "s"),
+    "W": Check(check_oracle_wohlfahrt,
                ({"r": 2, "s": 2}, {"r": 3, "s": 2}, {"r": 2, "s": 3})),
 }
 
@@ -277,20 +262,17 @@ def run_check(check_id: str, **params) -> list[CheckResult]:
     entry = REGISTRY[check_id]
     supplied = {k: v for k, v in params.items() if v is not None}
     if supplied:
-        missing = [k for k in entry.params if k not in supplied]
+        sample = entry.grid[0]
+        missing = [k for k in sample if k not in supplied]
         if missing:
             raise ValueError(f"check {check_id} needs parameters {missing}")
-        sample = entry.grid[0]
-        coerced = {k: type(sample[k])(supplied[k]) for k in entry.params}
+        coerced = {k: type(v)(supplied[k]) for k, v in sample.items()}
         return [entry.fn(**coerced)]
     return [entry.fn(**g) for g in entry.grid]
 
 
 def run_all() -> list[CheckResult]:
-    out = []
-    for check_id in REGISTRY:
-        out.extend(run_check(check_id))
-    return out
+    return [r for check_id in REGISTRY for r in run_check(check_id)]
 
 
 def _parse_modulus(text: str) -> Modulus:

@@ -297,6 +297,35 @@ class TestVerify:
                                                  case["stderr"])
 
 
+def _over(n):
+    return (f"undecided: SL(2, Z/{n}) has over {n}^3 / 2 elements, above the "
+            f"element cap of 2000000\n")
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    ("verify --lemma D1 --p 1000000000000000003", 2, _over(10**18 + 3)),
+    ("verify --lemma D2 --m 1 --p 1000000000000000003", 2, _over(10**18 + 3)),
+    ("verify --lemma 2.2 --m 3 --p 1000000000000000003", 1,
+     "error: p must divide m, and 4 must divide m when p = 2\n"),
+    ("verify --lemma W --r 1000000007 --s 1000000009", 2,
+     _over(1000000016000000063)),
+    ("verify --lemma D1 --p 1000000016000000063", 1,
+     "error: p must be a prime\n"),
+    ("congruence --gens T^1000000007", 1,
+     "error: a generator word has 2000000014 letters in s and u, above the "
+     "bound of 1000000\n"),
+    ("congruence --gens T^100000000", 1,
+     "error: a generator word has 200000000 letters in s and u, above the "
+     "bound of 1000000\n"),
+])
+def test_large_parameters_end_at_once(capsys, argv, code, err):
+    """Neither p nor r*s is factored by trial division, and no generator
+    word is expanded past the bound on its letters."""
+    start = time.perf_counter()
+    assert invoke(capsys, *argv.split()) == (code, "", err)
+    assert time.perf_counter() - start < 5
+
+
 class TestCongruence:
     def test_whole_group_from_generators(self, capsys):
         code, out, _ = invoke(capsys, "congruence", "--gens", "S",

@@ -120,6 +120,17 @@ class TestCosetTable:
         with pytest.raises(ValueError):
             coset_table([parse_word("T")], cap=0)
 
+    def test_word_above_the_bound_is_refused_unexpanded(self):
+        # T^k is 2k letters in s and u; a word at the bound is enumerated
+        with pytest.raises(ValueError, match="a generator word has "
+                           "2000000014 letters in s and u, above the bound "
+                           "of 1000000"):
+            coset_table([parse_word("T^1000000007")])
+        gens = [parse_word("S"), parse_word("T")]
+        assert coset_table(gens + [parse_word("T^500000")]).degree == 1
+        with pytest.raises(ValueError, match="1000002 letters"):
+            coset_table(gens + [parse_word("T^500001")])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             CosetTable((1, 2, 0), (0, 1, 2))  # S-action not an involution

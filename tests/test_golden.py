@@ -7,7 +7,7 @@ from sympy import isprime
 from hecke5.golden_ring import (
     GoldenInt, LAMBDA, ONE, ZERO, Modulus, RAMIFIED_PRIME, _split_factor,
     canonical_associate, classify_rational_prime, emb_abs_less, factor,
-    emb_ratio_round, emb_sign, parse_golden, ring_tables,
+    emb_ratio_round, emb_sign, is_prime, parse_golden, ring_tables,
 )
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
@@ -137,6 +137,18 @@ def test_split_factor_of_a_large_prime():
 def test_classification_rejects_composite():
     with pytest.raises(ValueError):
         classify_rational_prime(6)
+    with pytest.raises(ValueError, match="1000000016000000063 is not prime"):
+        classify_rational_prime((10**9 + 7) * (10**9 + 9))
+
+
+def test_is_prime_matches_sympy():
+    """Every n below 10^5, strong pseudoprimes to the first bases (2; 2 to
+    7; 2 to 23), and primes and semiprimes far beyond trial division."""
+    assert [n for n in range(-2, 10**5) if is_prime(n) != isprime(n)] == []
+    for n in (2047, 3215031751, 3825123056546413051, 10**18 + 3, 10**18 + 9,
+              (10**9 + 7) * (10**9 + 9), 2**89 - 1, 2**127 - 1,
+              (2**61 - 1) * (2**89 - 1)):
+        assert is_prime(n) == isprime(n), n
 
 
 @pytest.mark.parametrize("n", range(1, 301))

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from hecke5.golden_ring import GoldenInt, LAMBDA, Modulus, ONE, ZERO
 from hecke5.hecke_matrices import (
     GMat, IDENTITY, NotInG5Error, PROJ_IDENTITY, ProjMat, S_MAT, T_MAT, Word,
-    appendix_b_set, appendix_c_set, decompose, delta_m, elementary_generators,
-    eval_word, eval_word_homogeneous, omega_2, parse_word,
-    translation, word,
+    appendix_b_words, appendix_c_words, decompose, delta_m_words,
+    elementary_generators, eval_word, eval_word_homogeneous, omega_2,
+    parse_word, translation, word,
 )
 
 
@@ -96,7 +96,7 @@ def test_omega_generators_members():
 
 @pytest.mark.parametrize("m", [3, 5, 6])
 def test_delta_words_are_members(m):
-    gens = delta_m(m)
+    gens = [eval_word(w) for w in delta_m_words(m)]
     assert len(gens) == 6
     for g in gens:
         decompose(g)
@@ -111,7 +111,7 @@ def test_delta_residues_match_table(m, p):
         t = sum((red(x.a, x.b) for x in e), ())
         n = sum((red(-a, -b) for a, b in zip(t[::2], t[1::2])), ())
         return min(t, n)
-    got = {proj_key(g) for g in delta_m(m)}
+    got = {proj_key(eval_word(w)) for w in delta_m_words(m)}
     want = {proj_key(g) for g in elementary_generators(m)}
     assert got == want
 
@@ -125,14 +125,14 @@ def test_elementary_generators_shape():
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_appendix_b_members(m):
-    gens = appendix_b_set(m)
+    gens = [eval_word(w) for w in appendix_b_words(m)]
     assert len(gens) == 5
     for g in gens:
         decompose(g)
 
 
 def test_appendix_c_members():
-    gens = appendix_c_set(4)
+    gens = [eval_word(w) for w in appendix_c_words(4)]
     assert len(gens) == 6
     for g in gens:
         decompose(g)

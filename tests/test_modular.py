@@ -1,14 +1,15 @@
 import sys
+import time
 from functools import lru_cache
 from itertools import product
 
 import pytest
 
 from hecke5 import closure
-from hecke5.closure import generated_closure
+from hecke5.closure import UndecidedError, generated_closure
 from hecke5.modular_oracle import (
     _inv, _pow, _subgroup_closure, build_sl2_quotient, check_lemma_d1,
-    check_lemma_d2, check_wohlfahrt_instance, d2_closure_order,
+    check_wohlfahrt_instance, d2_closure_order, lemma_d2,
     reduction_kernel_order,
 )
 from hecke5.verify import run_check
@@ -89,7 +90,8 @@ def test_unipotent_pair_generates(p):
 
 @pytest.mark.parametrize("m,p", [(2, 2), (2, 3), (3, 2), (6, 2), (1, 5)])
 def test_closure_equals_kernel(m, p):
-    assert check_lemma_d2(m, p)
+    holds, order = lemma_d2(m, p)
+    assert holds and order == reduction_kernel_order(m * p, m)
 
 
 def test_closure_orders():
@@ -135,6 +137,16 @@ def test_kernel_generator_triple(m, p):
 def test_kernel_generator_triple_needs_divisibility():
     with pytest.raises(ValueError):
         check_d2_generators(3, 2)
+
+
+def test_modulus_above_the_cap_is_refused_unfactored():
+    """Factoring this n, two primes near 10^9, by trial division takes
+    minutes; above the cap |SL(2, Z/n)| > n^3 / 2 is too, unfactored."""
+    n = (10**9 + 7) * (10**9 + 9)
+    start = time.perf_counter()
+    with pytest.raises(UndecidedError, match=rf"Z/{n}\) has over {n}\^3 / 2"):
+        build_sl2_quotient(n)
+    assert time.perf_counter() - start < 1
 
 
 def test_kernel_orders():

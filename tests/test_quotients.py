@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hecke5.closure import generated_closure
 from hecke5.golden_ring import GoldenInt, Modulus, RAMIFIED_PRIME, ring_tables
 from hecke5.hecke_matrices import (
-    delta_m, elementary_generators, eval_word, eval_word_homogeneous,
+    delta_m_words, elementary_generators, eval_word, eval_word_homogeneous,
     parse_word, word,
 )
 from hecke5 import closure, congruence, quotients
@@ -388,7 +388,7 @@ def test_lazy_ambient_closure():
     """Q(25) has 117187500 elements, far above the cap: its closures and
     its order need none of them."""
     amb = build_quotient(Modulus.rational(25), projective=True)
-    h = subgroup_closure(amb, delta_m(5))
+    h = subgroup_closure(amb, [eval_word(w) for w in delta_m_words(5)])
     assert h.order == 5**6
     assert check_elementary_abelian(h, 5)
     assert amb.order == sl_index_formula(Modulus.rational(25)) // 2
