@@ -87,15 +87,17 @@ _RELATORS = ([0, 0], [2] * 5)
 
 def _letters(w: Word) -> list[int]:
     """`w` as a freely reduced list of columns, with T = s*u.  A word of
-    more than MAX_WORD_LETTERS columns is refused before the list is built:
-    scanning it may take a step per column however small the table."""
-    length = sum(abs(exp) * (1 if gen == "S" else 2) for gen, exp in w.letters)
-    if length > MAX_WORD_LETTERS:
-        raise ValueError(f"a generator word has {length} letters in s and u, "
-                         f"above the bound of {MAX_WORD_LETTERS}")
+    more than MAX_WORD_LETTERS columns is refused before the power that
+    passes the bound is expanded: scanning it may take a step per column
+    however small the table."""
     out: list[int] = []
+    length = 0
     for gen, exp in w.letters:
         unit = [0] if gen == "S" else [0, 2]
+        length += len(unit) * abs(exp)
+        if length > MAX_WORD_LETTERS:
+            raise ValueError(f"a generator word has more than "
+                             f"{MAX_WORD_LETTERS} letters in s and u")
         if exp < 0:
             unit = [x ^ 1 for x in reversed(unit)]
         for x in unit * abs(exp):
