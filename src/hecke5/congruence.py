@@ -26,7 +26,7 @@ from .quotients import (
 )
 
 DEFAULT_COSET_CAP = 5_000
-MAX_WORD_LETTERS = 1_000_000
+MAX_WORD_LENGTH = 1_000_000
 MAX_CENSUS_INDEX = 12
 
 
@@ -86,21 +86,22 @@ _RELATORS = ([0, 0], [2] * 5)
 
 
 def _letters(w: Word) -> list[int]:
-    """`w` as a freely reduced list of columns, with T = s*u.  A word of
-    more than MAX_WORD_LETTERS columns is refused before the power that
+    """`w` as a freely reduced list of columns, with T = s*u.  A word longer
+    than MAX_WORD_LENGTH letters S and T is refused before the power that
     passes the bound is expanded: scanning it may take a step per column
     however small the table."""
     out: list[int] = []
     length = 0
     for gen, exp in w.letters:
+        k = abs(exp)
+        length += k
+        if length > MAX_WORD_LENGTH:
+            raise ValueError(f"a generator word is longer than "
+                             f"{MAX_WORD_LENGTH} letters S and T")
         unit = [0] if gen == "S" else [0, 2]
-        length += len(unit) * abs(exp)
-        if length > MAX_WORD_LETTERS:
-            raise ValueError(f"a generator word has more than "
-                             f"{MAX_WORD_LETTERS} letters in s and u")
         if exp < 0:
             unit = [x ^ 1 for x in reversed(unit)]
-        for x in unit * abs(exp):
+        for x in unit * k:
             if out and out[-1] == x ^ 1:
                 out.pop()
             else:

@@ -84,7 +84,7 @@ def check_delta_grid(m: int, p: int) -> CheckResult:
         raise ValueError("p must divide m, and 4 must divide m when p = 2")
     return _family_order(
         "delta-grid", {"m": m, "p": p}, m * p,
-        lambda: (list(map(eval_word, delta_m_words(m))) if delta_prime(m)
+        lambda: (map(eval_word, delta_m_words(m)) if delta_prime(m)
                  else elementary_generators(m)), p**6, p)
 
 
@@ -161,7 +161,7 @@ def check_translation_collapse(m: int) -> CheckResult:
     if m % 2 == 0:
         raise ValueError("m must be odd")
     return _family_order("translation-collapse", {"m": m}, 4 * m,
-                         lambda: list(map(eval_word, appendix_b_words(m))),
+                         lambda: map(eval_word, appendix_b_words(m)),
                          16 if m == 1 else 32)
 
 
@@ -170,7 +170,7 @@ def check_translation_collapse_4(m: int) -> CheckResult:
     if m % 4:
         raise ValueError("m must be a multiple of 4")
     return _family_order("translation-collapse-4", {"m": m}, 4 * m,
-                         lambda: list(map(eval_word, appendix_c_words(m))), 64)
+                         lambda: map(eval_word, appendix_c_words(m)), 64)
 
 
 def check_level2_generators() -> CheckResult:

@@ -312,9 +312,9 @@ def _over(n):
     ("verify --lemma D1 --p 1000000016000000063", 1,
      "error: p must be a prime\n"),
     ("congruence --gens T^1000000007", 1,
-     "error: a generator word has more than 1000000 letters in s and u\n"),
+     "error: a generator word is longer than 1000000 letters S and T\n"),
     ("congruence --gens T^100000000", 1,
-     "error: a generator word has more than 1000000 letters in s and u\n"),
+     "error: a generator word is longer than 1000000 letters S and T\n"),
 ])
 def test_large_parameters_end_at_once(capsys, argv, code, err):
     """Neither p nor r*s is factored by trial division, and no generator

@@ -121,13 +121,14 @@ class TestCosetTable:
             coset_table([parse_word("T")], cap=0)
 
     def test_word_above_the_bound_is_refused_unexpanded(self):
-        # T^k is 2k letters in s and u; a word at the bound is enumerated
-        message = "a generator word has more than 1000000 letters in s and u"
+        # the bound is on the word's length in S and T; at it, a word is
+        # enumerated
+        message = "a generator word is longer than 1000000 letters S and T"
         with pytest.raises(ValueError, match=message):
             coset_table([parse_word("T^1000000007")])
         gens = [parse_word("S"), parse_word("T")]
-        assert coset_table(gens + [parse_word("T^500000")]).degree == 1
-        for text in ("T^500001", "S T^499999 S^2", "T^400000 S T^100000"):
+        assert coset_table(gens + [parse_word("T^1000000")]).degree == 1
+        for text in ("T^1000001", "S T^999999 S", "T^600000 S T^400000"):
             with pytest.raises(ValueError, match=message):
                 coset_table(gens + [parse_word(text)])
 
