@@ -28,6 +28,9 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_UNDECIDED = 2
 
+# the parameter names of every verify check, from the registry's grids
+VERIFY_PARAMS = sorted({k for c in REGISTRY.values() for g in c.grid for k in g})
+
 IDEAL_HELP = ("ideal generator, e.g. 2+L; write one with a leading minus "
               "as --ideal=-3-L")
 
@@ -56,13 +59,9 @@ def _emit(args, items) -> None:
 
 
 def _modulus(args) -> Modulus:
-    if args.mod is not None and args.ideal is not None:
-        raise ValueError("give either --mod or --ideal, not both")
     if args.mod is not None:
         return Modulus.rational(args.mod)
-    if args.ideal is not None:
-        return Modulus.ideal(parse_golden(args.ideal))
-    raise ValueError("a modulus is required (--mod N or --ideal G)")
+    return Modulus.ideal(parse_golden(args.ideal))
 
 
 def cmd_quotient(args) -> int:
@@ -104,13 +103,11 @@ def cmd_closure(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.all:
-        results = run_all()
-    elif args.lemma:
-        results = run_check(args.lemma, m=args.m, p=args.p, n=args.n,
-                            a=args.a, b=args.b, r=args.r, s=args.s, pi=args.pi)
-    else:
-        raise ValueError("give --lemma ID or --all")
+    params = {k: getattr(args, k) for k in VERIFY_PARAMS
+              if getattr(args, k) is not None}
+    if args.all and params:
+        raise ValueError("--all runs the default grids and takes no parameters")
+    results = run_all() if args.all else run_check(args.lemma, **params)
     _emit(args, [({"record": "check", "id": r.check_id, "params": r.params,
                    "passed": r.passed, "detail": r.detail}, r.line())
                  for r in results])
@@ -118,9 +115,6 @@ def cmd_verify(args) -> int:
 
 
 def _input_words(args) -> list:
-    sources = [args.hfs is not None, args.hfs_file is not None, bool(args.gens)]
-    if sum(sources) != 1:
-        raise ValueError("give exactly one of --hfs, --hfs-file, --gens")
     if args.gens:
         return [parse_word(g) for g in args.gens]
     text = args.hfs if args.hfs is not None else open(args.hfs_file).read()
@@ -181,47 +175,42 @@ def build_parser() -> _Parser:
     def common(sp):
         sp.add_argument("--format", choices=("text", "json"), default="text")
 
-    def quotient_options(sp):  # the cap of build_quotient
+    def quotient_options(sp):  # the modulus and cap of build_quotient
         common(sp)
+        one = sp.add_mutually_exclusive_group(required=True)
+        one.add_argument("--mod", type=int)
+        one.add_argument("--ideal", help=IDEAL_HELP)
         sp.add_argument("--element-cap", type=int, default=DEFAULT_ELEMENT_CAP,
                         help="most elements (residue table entries included) "
                              "to enumerate before giving up (exit 2); "
                              "default %(default)s")
 
     sp = sub.add_parser("quotient", help="order of the image mod a modulus")
-    sp.add_argument("--mod", type=int)
-    sp.add_argument("--ideal", help=IDEAL_HELP)
     sp.add_argument("--homogeneous", action="store_true")
     sp.add_argument("--histogram", action="store_true")
     quotient_options(sp)
     sp.set_defaults(fn=cmd_quotient)
 
     sp = sub.add_parser("closure", help="normal closure of a word in a quotient")
-    sp.add_argument("--mod", type=int)
-    sp.add_argument("--ideal", help=IDEAL_HELP)
     sp.add_argument("--seed", required=True, help='word, e.g. "T^4"')
     quotient_options(sp)
     sp.set_defaults(fn=cmd_closure)
 
     sp = sub.add_parser("verify", help="run registered structural checks")
-    sp.add_argument("--lemma", choices=sorted(REGISTRY))
-    sp.add_argument("--all", action="store_true")
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--a")
-    sp.add_argument("--b", type=int)
-    sp.add_argument("--r", type=int)
-    sp.add_argument("--s", type=int)
-    sp.add_argument("--pi")
+    one = sp.add_mutually_exclusive_group(required=True)
+    one.add_argument("--lemma", choices=sorted(REGISTRY))
+    one.add_argument("--all", action="store_true")
+    for name in VERIFY_PARAMS:  # typed by run_check, from the check's grid
+        sp.add_argument(f"--{name}")
     common(sp)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("congruence", help="decide congruence for a subgroup")
-    sp.add_argument("--hfs", help="inline symbol, e.g. '[-inf; *; 0; *; inf]'")
-    sp.add_argument("--hfs-file")
-    sp.add_argument("--gens", action="append",
-                    help="generator word (repeatable)")
+    one = sp.add_mutually_exclusive_group(required=True)
+    one.add_argument("--hfs", help="inline symbol, e.g. '[-inf; *; 0; *; inf]'")
+    one.add_argument("--hfs-file")
+    one.add_argument("--gens", action="append",
+                     help="generator word (repeatable)")
     sp.add_argument("--coset-cap", type=int, default=DEFAULT_COSET_CAP,
                     help="most cosets to enumerate before giving up "
                          "(exit 2); default %(default)s")

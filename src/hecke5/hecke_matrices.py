@@ -166,8 +166,6 @@ def word(letters) -> Word:
     return Word(tuple(out))
 
 
-EMPTY_WORD = Word(())
-
 _WORD_TOKEN = re.compile(r"([ST])(?:\^(-?\d+))?")
 
 
@@ -240,27 +238,28 @@ def decompose(m: GMat | ProjMat) -> Word:
 # Generator sets from the appendix word recipes.
 
 
-def _s_word() -> Word:
-    return word([("S", 1)])
+_S, _T = word([("S", 1)]), word([("T", 1)])
 
 
 def _conj(g: Word, x: Word) -> Word:
     return g * x * g.inv()
 
 
-def _base_words(n: int) -> dict[str, Word]:
-    """The standard named words built from T^n: A..H as used below."""
-    s = _s_word()
-    t1 = word([("T", 1)])
+def _abc(n: int) -> tuple[Word, Word, Word]:
+    """A = T^n, B = S A S^-1 and C = T B T^-1."""
     a = word([("T", n)])
-    b = _conj(s, a)
-    c = _conj(t1, b)
-    d = _conj(t1.inv(), _conj(s, a.inv()))
+    b = _conj(_S, a)
+    return a, b, _conj(_T, b)
+
+
+def _ge_gf(n: int) -> tuple[Word, Word]:
+    """GE and GF from T^n, where E = A^-2 B^-1 C, F = A^2 B D with
+    D = T^-1 S A^-1 S^-1 T, and G = S E S^-1."""
+    a, b, c = _abc(n)
     e = a.inv() * a.inv() * b.inv() * c
-    f = a * a * b * d
-    g = _conj(s, e)
-    h = _conj(s, f)
-    return {"A": a, "B": b, "C": c, "D": d, "E": e, "F": f, "G": g, "H": h}
+    f = a * a * b * _conj(_T.inv(), _conj(_S, a.inv()))
+    g = _conj(_S, e)
+    return g * e, g * f
 
 
 def delta_m_words(m: int) -> list[Word]:
@@ -272,15 +271,11 @@ def delta_m_words(m: int) -> list[Word]:
     """
     if m < 1:
         raise ValueError("m must be positive")
-    w = _base_words(m)
     p = delta_prime(m)
     r = 1 if p is None else ((p + 1) // 2)  # minimal r with 2r = 1 (mod p)
-    x = (w["G"] * w["E"] * w["G"] * w["F"])
-    xs = EMPTY_WORD
-    for _ in range(r):
-        xs = xs * x
-    s, t1 = _s_word(), word([("T", 1)])
-    return [w["A"], w["B"], w["C"], _conj(s, xs), xs, _conj(t1, xs)]
+    ge, gf = _ge_gf(m)
+    xs = word(list((ge * gf).letters) * r)  # (GEGF)^r
+    return [*_abc(m), _conj(_S, xs), xs, _conj(_T, xs)]
 
 
 def delta_prime(m: int) -> int | None:
@@ -326,18 +321,14 @@ def appendix_b_words(m: int) -> list[Word]:
     """Five words in the normal closure of T^(2m), m odd: A, B, C, GE, T(GE)T^-1."""
     if m < 1 or m % 2 == 0:
         raise ValueError("m must be odd and positive")
-    w = _base_words(2 * m)
-    ge = w["G"] * w["E"]
-    t1 = word([("T", 1)])
-    return [w["A"], w["B"], w["C"], ge, _conj(t1, ge)]
+    ge, _ = _ge_gf(2 * m)
+    return [*_abc(2 * m), ge, _conj(_T, ge)]
 
 
 def appendix_c_words(m: int) -> list[Word]:
     """Six words in the normal closure of T^m for 4 | m, built on Y = GEGF."""
     if m % 4 != 0:
         raise ValueError("m must be a multiple of 4")
-    w = _base_words(m)
-    y = w["G"] * w["E"] * w["G"] * w["F"]
-    s, t1 = _s_word(), word([("T", 1)])
-    a2 = word([("T", 2 * m)])
-    return [a2, _conj(s, a2), _conj(t1, _conj(s, a2)), _conj(s, y), y, _conj(t1, y)]
+    ge, gf = _ge_gf(m)
+    y = ge * gf
+    return [*_abc(2 * m), _conj(_S, y), y, _conj(_T, y)]

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-import tempfile
 from array import array
 from collections import Counter
 from collections.abc import Iterator, Set
@@ -100,7 +99,7 @@ class QuotientGroup:
     @cached_property
     def elements(self) -> frozenset[Key]:
         """All of Q, the kernel of reduction mod 1."""
-        return _kernel(self, Modulus.rational(1), self.order)
+        return frozenset(_kernel(self, Modulus.rational(1), self.order))
 
     @cached_property
     def gen_S(self) -> Key:
@@ -138,7 +137,8 @@ class QuotientGroup:
         return element_order(x, self.identity, self._mult, self.element_cap)
 
     def order_histogram(self) -> Counter:
-        return Counter(self.element_order(x) for x in self.elements)
+        return Counter(map(self.element_order,
+                           _kernel(self, Modulus.rational(1), self.order)))
 
 
 def _identity(modulus: Modulus) -> Key:
@@ -260,20 +260,16 @@ def _save_quotient(q: QuotientGroup, path: Path) -> None:
     so a crash mid-write never leaves a partial file under the cache name."""
     reps, shifts = q._orbit
     flat = array("I", chain(chain.from_iterable(reps), shifts))
-    umask = os.umask(0)  # reading the umask means setting it
-    os.umask(umask)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(_CACHE_MAGIC)
             fh.write(struct.pack("<QQ", len(reps), len(shifts)))
             fh.write(flat.tobytes())
-        # mkstemp makes the file 0600; give it the mode open() would
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
-        os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -331,8 +327,9 @@ def kernel_subgroup(q: QuotientGroup, m: Modulus) -> SubgroupHandle:
 
 
 class _KernelMembers(Set):
-    """A kernel's members, known by their number.  `_kernel` enumerates them
-    on the first iteration or `in`, once.  The `Set` comparisons test the
+    """A kernel's members, known by their number.  Each iteration walks
+    them off the row orbit (`_kernel`); the first `in` keeps them in a
+    frozenset, which the later ones read.  The `Set` comparisons test the
     lengths first, so a kernel compared with a set of another size is never
     enumerated, nor refused above the element cap."""
 
@@ -343,14 +340,14 @@ class _KernelMembers(Set):
         return self._size
 
     def __iter__(self) -> Iterator[Key]:
-        return iter(self._set)
+        return _kernel(self._q, self._m, self._size)
 
     def __contains__(self, x) -> bool:
         return x in self._set
 
     @cached_property
     def _set(self) -> frozenset[Key]:
-        return _kernel(self._q, self._m, self._size)
+        return frozenset(self)
 
     @classmethod
     def _from_iterable(cls, it) -> frozenset[Key]:
@@ -359,12 +356,13 @@ class _KernelMembers(Set):
         return frozenset(it)
 
 
-def _kernel(q: QuotientGroup, m: Modulus, size: int) -> frozenset[Key]:
+def _kernel(q: QuotientGroup, m: Modulus, size: int) -> Iterator[Key]:
     """The `size` (1 0; u 1) t = (a b; ua+c ub+d) of `_row_orbit` that are
-    (+-)I mod m, undecided before any is built above the element cap: t's
-    row is (+-)(1, 0) and ua+c = 0, so ub+d = a by det = 1.  Each keeps t's
-    row, so its key is already `_signed`.  The orbit is independent of
-    `quotient_order`, which gives `size`: a different count is an error."""
+    (+-)I mod m, undecided at the call, before any is built, above the
+    element cap: t's row is (+-)(1, 0) and ua+c = 0, so ub+d = a by det = 1.
+    Each keeps t's row, so its key is already `_signed`, and no two are
+    equal.  The orbit is independent of `quotient_order`, which gives
+    `size`: a walk that yields a different count ends in an error."""
     if size > q.element_cap:
         raise _cap_reached(q.element_cap)
     _refuse_mul(q)  # also for an orbit read from a file
@@ -374,15 +372,22 @@ def _kernel(q: QuotientGroup, m: Modulus, size: int) -> frozenset[Key]:
     zero, one = small.at(0, 0), small.at(1, 0)
     ones = {one, small.neg[one]} if q.projective else {one}
     reps, shifts = q._orbit
-    members = frozenset(
-        (a, b, red[wide[c] + mul[u][a]], red[wide[d] + mul[u][b]])
-        for a, b, c, d in reps if down[a] in ones and down[b] == zero
-        for want in [small.neg[small.red[small.mul[down[c]][down[a]]]]]  # u = -c/a
-        for u in shifts if down[u] == want)
-    if len(members) != size:
-        raise ArithmeticError(f"the kernel of Q({q.modulus}) mod {m} has "
-                              f"{len(members)} members, not {size}")
-    return members
+
+    def walk() -> Iterator[Key]:
+        count = 0
+        for a, b, c, d in reps:
+            if down[a] in ones and down[b] == zero:
+                want = small.neg[small.red[small.mul[down[c]][down[a]]]]  # u = -c/a
+                for u in shifts:
+                    if down[u] == want:
+                        count += 1
+                        yield (a, b, red[wide[c] + mul[u][a]],
+                               red[wide[d] + mul[u][b]])
+        if count != size:
+            raise ArithmeticError(f"the kernel of Q({q.modulus}) mod {m} has "
+                                  f"{count} members, not {size}")
+
+    return walk()
 
 
 def check_elementary_abelian(h: SubgroupHandle, p: int) -> bool:

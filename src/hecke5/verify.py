@@ -91,9 +91,12 @@ def check_delta_grid(m: int, p: int) -> CheckResult:
 def check_delta_residues(m: int, p: int) -> CheckResult:
     """The group-element realization hits the prescribed residues mod mp,
     for p the smallest odd prime factor of m, as `delta_m_words` takes it."""
-    if p != delta_prime(m):
-        raise ValueError("p must be the smallest odd prime factor of m")
+    error = ValueError("p must be the smallest odd prime factor of m")
+    if p % 2 == 0 or not is_prime(p) or m % p:
+        raise error
     amb = build_quotient(Modulus.rational(m * p), projective=True)
+    if p != delta_prime(m):  # trial division, after Q(mp) is known to fit
+        raise error
     got = {amb.key_of(eval_word(w)) for w in delta_m_words(m)}
     want = {amb.key_of(g) for g in elementary_generators(m)}
     return _result("delta-residues", {"m": m, "p": p}, got == want,
@@ -263,9 +266,9 @@ def run_check(check_id: str, **params) -> list[CheckResult]:
     supplied = {k: v for k, v in params.items() if v is not None}
     if supplied:
         sample = entry.grid[0]
-        missing = [k for k in sample if k not in supplied]
-        if missing:
-            raise ValueError(f"check {check_id} needs parameters {missing}")
+        if supplied.keys() != sample.keys():
+            raise ValueError(f"check {check_id} takes parameters "
+                             f"{list(sample)}, not {sorted(supplied)}")
         coerced = {k: type(v)(supplied[k]) for k, v in sample.items()}
         return [entry.fn(**coerced)]
     return [entry.fn(**g) for g in entry.grid]

@@ -67,15 +67,18 @@ class TestQuotient:
                        "order": 10, "projective": True}
 
     def test_both_moduli_rejected(self, capsys):
-        code, _, err = invoke(capsys, "quotient", "--mod", "2",
-                              "--ideal", "2+L")
-        assert code == 1
-        assert "not both" in err
+        with pytest.raises(SystemExit) as exc:
+            invoke(capsys, "quotient", "--mod", "2", "--ideal", "2+L")
+        assert exc.value.code == 1
+        assert ("argument --ideal: not allowed with argument --mod"
+                in capsys.readouterr().err)
 
     def test_missing_modulus(self, capsys):
-        code, _, err = invoke(capsys, "quotient")
-        assert code == 1
-        assert "modulus is required" in err
+        with pytest.raises(SystemExit) as exc:
+            invoke(capsys, "quotient")
+        assert exc.value.code == 1
+        assert ("one of the arguments --mod --ideal is required"
+                in capsys.readouterr().err)
 
     def test_cap_hit_is_undecided(self, capsys):
         code, _, err = invoke(capsys, "quotient", "--mod", "8",
@@ -270,9 +273,33 @@ class TestVerify:
                        "entries, above the element cap of 2000000\n")
 
     def test_needs_a_selector(self, capsys):
-        code, _, err = invoke(capsys, "verify")
-        assert code == 1
-        assert "--lemma" in err
+        with pytest.raises(SystemExit) as exc:
+            invoke(capsys, "verify")
+        assert exc.value.code == 1
+        assert ("one of the arguments --lemma --all is required"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv,err", [
+        ("--lemma 2.6 --m 3", "check 2.6 takes parameters [], not ['m']"),
+        ("--lemma 3.5 --m 1 --n 4",
+         "check 3.5 takes parameters ['m'], not ['m', 'n']"),
+        ("--lemma 2.2 --m 3", "check 2.2 takes parameters ['m', 'p'], "
+                              "not ['m']"),
+    ])
+    def test_parameters_must_be_the_checks_own(self, capsys, argv, err):
+        assert invoke(capsys, "verify", *argv.split()) == (1, "",
+                                                           f"error: {err}\n")
+
+    def test_all_takes_no_parameters(self, capsys):
+        assert invoke(capsys, "verify", "--all", "--m", "3") == (
+            1, "", "error: --all runs the default grids and takes no "
+                   "parameters\n")
+
+    def test_parameters_are_typed_by_the_check(self, capsys):
+        code, out, err = invoke(capsys, "verify", "--lemma", "2.2",
+                                "--m", "x", "--p", "3")
+        assert (code, out) == (1, "")
+        assert "invalid literal for int()" in err
 
     def test_all_matches_the_golden_text(self, capsys):
         code, out, err = invoke(capsys, "verify", "--all")
@@ -311,14 +338,19 @@ def _over(n):
      _over(1000000016000000063)),
     ("verify --lemma D1 --p 1000000016000000063", 1,
      "error: p must be a prime\n"),
+    # p | m is tested before Q(mp) is refused, and m is factored after
+    ("verify --lemma A --m 3000000048000000189 --p 3", 2,
+     "undecided: residue tables mod 9000000144000000567 need "
+     "567000018144000216594001143072002250423 entries, above the element "
+     "cap of 2000000\n"),
     ("congruence --gens T^1000000007", 1,
      "error: a generator word is longer than 1000000 letters S and T\n"),
     ("congruence --gens T^100000000", 1,
      "error: a generator word is longer than 1000000 letters S and T\n"),
 ])
 def test_large_parameters_end_at_once(capsys, argv, code, err):
-    """Neither p nor r*s is factored by trial division, and no generator
-    word is expanded past the bound on its letters."""
+    """Neither p, r*s nor Lemma A's m is factored by trial division, and no
+    generator word is expanded past the bound on its letters."""
     start = time.perf_counter()
     assert invoke(capsys, *argv.split()) == (code, "", err)
     assert time.perf_counter() - start < 5
@@ -356,13 +388,14 @@ class TestCongruence:
         assert report.algebraic_level == "(3)"
 
     def test_exactly_one_source(self, capsys):
-        code, _, err = invoke(capsys, "congruence")
-        assert code == 1
-        assert "exactly one" in err
-
-        code, _, err = invoke(capsys, "congruence", "--gens", "S",
-                              "--hfs", "[-inf; *; 0; o; inf]")
-        assert code == 1
+        for argv, err in [
+                ((), "one of the arguments --hfs --hfs-file --gens is required"),
+                (("--gens", "S", "--hfs", "[-inf; *; 0; o; inf]"),
+                 "argument --hfs: not allowed with argument --gens")]:
+            with pytest.raises(SystemExit) as exc:
+                invoke(capsys, "congruence", *argv)
+            assert exc.value.code == 1
+            assert err in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "congruence",
@@ -467,12 +500,12 @@ class TestCensus:
     (["quotient", "--mod", "16"], False),
     (["closure", "--mod", "16", "--seed", "T^4"], False),
     (["congruence", "--hfs", EXAMPLES["i5-level4"][0]], False),
-    (["quotient", "--mod", "8", "--histogram"], True),
+    (["quotient", "--mod", "8", "--histogram"], False),
     (["verify", "--lemma", "2.3"], False),
 ])
 def test_element_sets_built_only_when_read(capsys, monkeypatch, argv, builds):
-    """Orders come from `quotient_order` and kernels from the row orbit;
-    only a histogram builds the element set."""
+    """Orders come from `quotient_order`, and kernels and the histogram's
+    elements stream off the row orbit: no command builds the element set."""
     built = []
 
     def elements(q):

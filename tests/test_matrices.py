@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,6 +131,16 @@ def test_appendix_b_members(m):
     assert len(gens) == 5
     for g in gens:
         decompose(g)
+
+
+@pytest.mark.parametrize("family", [
+    delta_m_words, appendix_b_words, appendix_c_words])
+def test_appendix_words_letter_for_letter(family):
+    """Each family's words for every m <= 24 it takes, against the record
+    in tests/data, made before the three shared one builder."""
+    record = json.loads((Path(__file__).parent / "data" /
+                         "appendix_words.json").read_text())[family.__name__]
+    assert {m: [str(w) for w in family(int(m))] for m in record} == record
 
 
 def test_appendix_c_members():

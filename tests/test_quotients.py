@@ -240,10 +240,12 @@ def test_kernel_above_the_cap_is_undecided_before_it_is_built():
 
 def test_kernel_of_another_size_is_an_error():
     """An enumeration that disagrees with the size it was given, the
-    formula's, is refused: every enumerated kernel certifies the formula."""
+    formula's, is refused when its walk ends: every kernel enumerated to
+    the end certifies the formula."""
+    walk = _kernel(q(4), Modulus.rational(2), 17)
     with pytest.raises(ArithmeticError, match="Q\\(4\\) mod 2 has 16 members, "
                                               "not 17"):
-        _kernel(q(4), Modulus.rational(2), 17)
+        list(walk)
 
 
 @pytest.mark.parametrize("seed,levels", [("T^4", []), ("T^2", [2])])
@@ -472,6 +474,18 @@ def test_disk_cache_file_mode_follows_umask(tmp_path, umask, mode):
         os.umask(old)
     (path,) = tmp_path.iterdir()
     assert stat.S_IMODE(path.stat().st_mode) == mode
+
+
+def test_disk_cache_write_that_fails_leaves_no_file(tmp_path, monkeypatch):
+    """A write cut short before its rename leaves no file under the cache
+    name, and no temporary file beside it."""
+    def crash(src, dst):
+        raise OSError("cut short before the rename")
+
+    monkeypatch.setattr(quotients.os, "replace", crash)
+    with pytest.raises(OSError, match="cut short"):
+        build_quotient(Modulus.rational(4), cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("garbage", [b"not a quotient cache file", b"HQC1\x05"])
