@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import __version__
 from .closure import DEFAULT_ELEMENT_CAP, UndecidedError
@@ -117,7 +118,7 @@ def cmd_verify(args) -> int:
 def _input_words(args) -> list:
     if args.gens:
         return [parse_word(g) for g in args.gens]
-    text = args.hfs if args.hfs is not None else open(args.hfs_file).read()
+    text = args.hfs if args.hfs is not None else Path(args.hfs_file).read_text()
     return [decompose(g) for g in side_pairing(parse_hfs(text))]
 
 

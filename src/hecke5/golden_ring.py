@@ -265,30 +265,36 @@ class RingTables:
 
     (a, b) is the canonical pair, 0 <= a < d1 and 0 <= b < d2, so index
     order is the lexicographic order of pairs.  Sums go through spaced
-    indices a*2*d2 + b (`wide`): two of them add without a carry from b
-    into a, and `red`, 4 * ring_size entries, takes the sum back to its
-    index.  So x + y is red[wide[x] + wide[y]].  `neg` has ring_size
-    entries and `lam` (times L) ring_size spaced ones; `mul` is the one
-    table of ring_size rows of ring_size entries, spaced, built on its
-    first read.  `ring_tables` caches and shares them: treat them as
-    read-only.
+    indices a*2*d2 + b (`wide`): two add without a carry from b into a.
+    `red` takes a sum A*2*d2 + j*d2 + b back to its index, the residue of
+    A - j*c + bL (c + d2*L is in the lattice).  So x + y is
+    red[wide[x] + wide[y]].  `neg` and `lam` (times L, spaced) have
+    ring_size entries.  `mul`, ring_size rows of ring_size spaced entries,
+    is built on first read, as x*y is additive in x: row a + bL is row
+    a + (b-1)L plus `lam`, and row a is row a-1 plus `wide`.
+    `ring_tables` caches and shares them: treat them as read-only.
     """
 
     def __init__(self, m: Modulus):
-        span = 2 * m.d2
+        d1, c, d2 = m.d1, m.c, m.d2
         self.modulus = m
-        self._pairs = pairs = list(m.residues())
-        self.wide = wide = [a * span + b for a, b in pairs]
+        pairs = list(m.residues())
+        self.wide = wide = [a * 2 * d2 + b for a, b in pairs]
         self.neg = [self.at(-a, -b) for a, b in pairs]
         # L(a + bL) = b + (a + b)L
         self.lam = [wide[self.at(b, a + b)] for a, b in pairs]
-        self.red = [self.at(*divmod(x, span)) for x in range(4 * m.ring_size)]
+        self.red = [((A - j * c) % d1) * d2 + b
+                    for A in range(2 * d1) for j in (0, 1) for b in range(d2)]
 
     @cached_property
     def mul(self) -> list[list[int]]:
-        at, wide, pairs = self.at, self.wide, self._pairs
-        return [[wide[at(a1 * a2 + b1 * b2, a1 * b2 + a2 * b1 + b1 * b2)]
-                 for a2, b2 in pairs] for a1, b1 in pairs]
+        wide, lam, d2 = self.wide, self.lam, self.modulus.d2
+        w = [wide[i] for i in self.red]  # a sum of spaced values, reduced
+        rows = [[0] * len(wide)]  # 0 times y
+        for i in range(1, len(wide)):
+            prev, step = (rows[i - 1], lam) if i % d2 else (rows[i - d2], wide)
+            rows.append([w[u + v] for u, v in zip(prev, step)])
+        return rows
 
     def at(self, a: int, b: int) -> int:
         """Index of a + b*L for any integers a, b."""

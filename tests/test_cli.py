@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -377,6 +379,16 @@ class TestCongruence:
         code, out, _ = invoke(capsys, "congruence", "--hfs-file", str(path))
         assert code == 0
         assert "verdict: not-congruence" in out
+
+    def test_symbol_file_is_closed(self, capsys, tmp_path):
+        path = tmp_path / "sub.hfs"
+        path.write_text(EXAMPLES["index2"][0])
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code, _, _ = invoke(capsys, "congruence", "--hfs-file", str(path))
+            gc.collect()
+        assert code == 0
+        assert not [w for w in seen if issubclass(w.category, ResourceWarning)]
 
     def test_json_roundtrips_report(self, capsys):
         code, out, _ = invoke(capsys, "congruence", "--hfs", EXAMPLES["i5-level3"][0],

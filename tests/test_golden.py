@@ -236,6 +236,21 @@ def test_ring_tables_match_golden_arithmetic(m, x, y):
     assert r.red[r.lam[i]] == reduced_index(m, LAMBDA * x)
 
 
+@pytest.mark.parametrize("m", [Modulus.rational(n) for n in range(1, 17)] + [
+    Modulus.ideal(GoldenInt(*g)) for g in [(2, 1), (4, 2), (3, 1), (5, 5)]],
+    ids=str)
+def test_ring_tables_equal_the_per_entry_tables(m):
+    """Every entry of `mul` and `red` against `reduce_pair` of the
+    `GoldenInt` product or sum, one call per entry (the oracle)."""
+    r, span = ring_tables(m), 2 * m.d2
+    pairs = list(m.residues())
+    assert r.mul == [[r.wide[reduced_index(m, GoldenInt(*x) * GoldenInt(*y))]
+                      for y in pairs] for x in pairs]
+    assert r.red == [
+        reduced_index(m, GoldenInt(x // span, 0) + GoldenInt(0, x % span))
+        for x in range(4 * m.ring_size)]
+
+
 def test_ring_index_order_is_pair_order():
     for m in (Modulus.rational(6), Modulus.ideal(GoldenInt(4, 2))):
         pairs = list(m.residues())
