@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .closure import DEFAULT_ELEMENT_CAP, UndecidedError
 from .golden_ring import Modulus, parse_golden
-from .hecke_matrices import NotInG5Error, decompose, eval_word, parse_word
+from .hecke_matrices import decompose, eval_word, parse_word
 from .quotients import build_quotient, kernel_subgroup, normal_closure
 from .congruence import (
     DEFAULT_COSET_CAP, coset_table, enumerate_index,
@@ -233,7 +233,7 @@ def main(argv=None) -> int:
     except UndecidedError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    except (ValueError, NotInG5Error, OSError) as exc:
+    except (ValueError, OSError) as exc:  # NotInG5Error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

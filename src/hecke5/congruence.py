@@ -21,9 +21,7 @@ from . import __version__
 from .closure import DEFAULT_ELEMENT_CAP, UndecidedError
 from .golden_ring import GoldenInt, Modulus, classify_rational_prime, factor
 from .hecke_matrices import Word, word
-from .quotients import (
-    _generator_actions, _identity, _refuse_tables, quotient_order,
-)
+from .quotients import QuotientGroup, quotient_order
 
 DEFAULT_COSET_CAP = 5_000
 MAX_WORD_LENGTH = 1_000_000
@@ -301,15 +299,15 @@ def _conflicts(t: CosetTable, d: Modulus):
 
     Two words with one image in Q(d) differ by some g in G(d), and
     K*g*w = K*w iff g is in K.  Each edge off the walk's spanning tree is a
-    Schreier generator of G(d), so checking every edge is complete.  Its
-    tables, 7 * ring_size entries, are refused before any is built.
+    Schreier generator of G(d), so checking every edge is complete.  The
+    walk steps with `QuotientGroup.actions`, whose constructor refuses
+    tables above the default element cap before any is built.
     """
-    cap = DEFAULT_ELEMENT_CAP
-    _refuse_tables(d, 7 * d.ring_size, cap)
-    identity = _identity(d)
-    actions = list(zip(_generator_actions(d, True), (t.perm_s, t.perm_t)))
-    label = {identity: 0}
-    order = [identity]
+    q = QuotientGroup(d, True, DEFAULT_ELEMENT_CAP)
+    cap = q.element_cap
+    actions = list(zip(q.actions, (t.perm_s, t.perm_t)))
+    label = {q.identity: 0}
+    order = [q.identity]
     for x in order:  # grows while it is walked
         a = label[x]
         for act, perm in actions:

@@ -44,39 +44,61 @@ def _signed(neg: list[int], t: Key) -> Key:
     return n if n < t else t
 
 
-def _generator_actions(modulus: Modulus,
-                       projective: bool) -> list[Callable[[Key], Key]]:
-    """Right multiplication by S = (0 1; -1 0) and T = (1 L; 0 1)."""
-    r = ring_tables(modulus)
-    red, wide, lam, neg = r.red, r.wide, r.lam, r.neg
-
-    def times_s(x: Key) -> Key:  # (a b; c d) S = (-b a; -d c)
-        a, b, c, d = x
-        t = (neg[b], a, neg[d], c)
-        return _signed(neg, t) if projective else t
-
-    def times_t(x: Key) -> Key:  # (a b; c d) T = (a aL+b; c cL+d)
-        a, b, c, d = x
-        t = (a, red[lam[a] + wide[b]], c, red[lam[c] + wide[d]])
-        return _signed(neg, t) if projective else t
-
-    return [times_s, times_t]
+def _refuse_tables(modulus: Modulus, entries: int, element_cap: int) -> None:
+    """Undecided if tables of `entries` entries mod `modulus` pass the cap."""
+    if entries > element_cap:
+        raise UndecidedError(f"residue tables mod {modulus} need {entries} "
+                             f"entries, above the element cap of {element_cap}")
 
 
 @dataclass(frozen=True)
 class QuotientGroup:
     """Q(modulus): its order in closed form at once; its arithmetic, keys,
-    row orbit (see `_row_orbit`, walked once) and elements on first use."""
+    row orbit (see `_row_orbit`, walked once) and elements on first use.
+    Residue tables above the element cap are refused: the 7 * ring_size
+    entries every use but `order` builds at construction, `mul` (`_mul`)
+    where it is first read."""
 
     modulus: Modulus
     projective: bool
     element_cap: int = field(compare=False)  # bounds every closure in it
 
+    def __post_init__(self):
+        if self.element_cap < 1:
+            raise ValueError(f"element cap must be at least 1, "
+                             f"not {self.element_cap}")
+        _refuse_tables(self.modulus, 7 * self.modulus.ring_size,
+                       self.element_cap)
+
+    @cached_property
+    def _mul(self) -> list[list[int]]:
+        """`mul`, refused with the row orbit: ring_size**2 entries each."""
+        _refuse_tables(self.modulus, 2 * self.modulus.ring_size ** 2,
+                       self.element_cap)
+        return ring_tables(self.modulus).mul
+
+    @cached_property
+    def actions(self) -> tuple[Callable[[Key], Key], ...]:
+        """Right multiplication by S = (0 1; -1 0) and T = (1 L; 0 1)."""
+        r, projective = ring_tables(self.modulus), self.projective
+        red, wide, lam, neg = r.red, r.wide, r.lam, r.neg
+
+        def times_s(x: Key) -> Key:  # (a b; c d) S = (-b a; -d c)
+            a, b, c, d = x
+            t = (neg[b], a, neg[d], c)
+            return _signed(neg, t) if projective else t
+
+        def times_t(x: Key) -> Key:  # (a b; c d) T = (a aL+b; c cL+d)
+            a, b, c, d = x
+            t = (a, red[lam[a] + wide[b]], c, red[lam[c] + wide[d]])
+            return _signed(neg, t) if projective else t
+
+        return times_s, times_t
+
     @cached_property
     def _mult(self) -> Callable[[Key, Key], Key]:
-        _refuse_mul(self)
-        r, projective = ring_tables(self.modulus), self.projective
-        red, mul, neg = r.red, r.mul, r.neg
+        mul, r = self._mul, ring_tables(self.modulus)
+        red, neg, projective = r.red, r.neg, self.projective
 
         def mult(x: Key, y: Key) -> Key:
             y0, y1, y2, y3 = y
@@ -89,8 +111,7 @@ class QuotientGroup:
 
     @cached_property
     def _orbit(self) -> tuple[list[Key], list[int]]:
-        _refuse_mul(self)
-        return _row_orbit(self.modulus, self.projective)
+        return _row_orbit(self)
 
     @property
     def order(self) -> int:
@@ -111,7 +132,10 @@ class QuotientGroup:
 
     @cached_property
     def identity(self) -> Key:
-        return _identity(self.modulus)
+        """I's key: (1, 0) is the smaller of +-(1, 0), so it is `_signed`."""
+        r = ring_tables(self.modulus)
+        one, zero = r.at(1, 0), r.at(0, 0)
+        return (one, zero, zero, one)
 
     def mult(self, x: Key, y: Key) -> Key:
         return self._mult(x, y)
@@ -141,13 +165,6 @@ class QuotientGroup:
                            _kernel(self, Modulus.rational(1), self.order)))
 
 
-def _identity(modulus: Modulus) -> Key:
-    """The key of I: (1, 0) is the smaller of +-(1, 0), so it is `_signed`."""
-    r = ring_tables(modulus)
-    one, zero = r.at(1, 0), r.at(0, 0)
-    return (one, zero, zero, one)
-
-
 @dataclass(frozen=True)
 class SubgroupHandle:
     parent: QuotientGroup
@@ -159,33 +176,16 @@ class SubgroupHandle:
         return len(self.members)
 
 
-def _refuse_tables(modulus: Modulus, entries: int, element_cap: int) -> None:
-    """Undecided if tables of `entries` entries mod `modulus` pass the cap."""
-    if entries > element_cap:
-        raise UndecidedError(f"residue tables mod {modulus} need {entries} "
-                             f"entries, above the element cap of {element_cap}")
-
-
-def _refuse_mul(q: QuotientGroup) -> None:
-    """`mul` and the row orbit walked with it: ring_size**2 entries each."""
-    _refuse_tables(q.modulus, 2 * q.modulus.ring_size ** 2, q.element_cap)
-
-
 def build_quotient(modulus: Modulus, projective: bool = True,
                    element_cap: int = DEFAULT_ELEMENT_CAP,
                    cache_dir: str | Path | None = None) -> QuotientGroup:
-    """The image of {S, T} mod `modulus`, built no further than its order.
+    """The image of {S, T} mod `modulus`, built no further than its order;
+    the constructor refuses residue tables above the element cap.
 
-    Every use but `order` builds residue tables of 7 * ring_size entries,
-    which count against the element cap here; `mul` and the row orbit
-    count where they are first read (`_refuse_mul`).  With `cache_dir`,
-    the row orbit is read from its file if that loads, else walked and
-    written.  A file that does not load (bad magic, truncated) counts as
-    missing and is rewritten.
+    With `cache_dir`, the row orbit is read from its file if that loads,
+    else walked and written.  A file that does not load (bad magic,
+    truncated) counts as missing and is rewritten.
     """
-    if element_cap < 1:
-        raise ValueError(f"element cap must be at least 1, not {element_cap}")
-    _refuse_tables(modulus, 7 * modulus.ring_size, element_cap)
     q = QuotientGroup(modulus, projective, element_cap)
     if cache_dir is not None:
         path = Path(cache_dir) / _cache_name(modulus, projective)
@@ -196,8 +196,7 @@ def build_quotient(modulus: Modulus, projective: bool = True,
     return q
 
 
-def _row_orbit(modulus: Modulus,
-               projective: bool) -> tuple[list[Key], list[int]]:
+def _row_orbit(q: QuotientGroup) -> tuple[list[Key], list[int]]:
     """Orbit-stabilizer for the first row (Holt, Eick, O'Brien, Handbook of
     Computational Group Theory, 4.1).
 
@@ -217,16 +216,15 @@ def _row_orbit(modulus: Modulus,
     a unimodular (a, b) that means 2 = 0, where every key is its own
     negation.
     """
-    r = ring_tables(modulus)
-    red, wide, mul, neg = r.red, r.wide, r.mul, r.neg
-    identity = _identity(modulus)
+    mul, r = q._mul, ring_tables(q.modulus)
+    red, wide, neg = r.red, r.wide, r.neg
+    identity = q.identity
     one, zero = identity[:2]
     reps = [identity]
     by_row = {(one, zero): identity}
     gens = set()
-    actions = _generator_actions(modulus, projective)
     for t in reps:  # grows while it is walked: breadth first
-        for act in actions:
+        for act in q.actions:
             y = act(t)
             rep = by_row.setdefault(y[:2], y)
             if rep is y:
@@ -358,16 +356,18 @@ class _KernelMembers(Set):
 
 def _kernel(q: QuotientGroup, m: Modulus, size: int) -> Iterator[Key]:
     """The `size` (1 0; u 1) t = (a b; ua+c ub+d) of `_row_orbit` that are
-    (+-)I mod m, undecided at the call, before any is built, above the
-    element cap: t's row is (+-)(1, 0) and ua+c = 0, so ub+d = a by det = 1.
-    Each keeps t's row, so its key is already `_signed`, and no two are
-    equal.  The orbit is independent of `quotient_order`, which gives
-    `size`: a walk that yields a different count ends in an error."""
+    (+-)I mod m: t's row is (+-)(1, 0) and ua+c = 0, so ub+d = a by det = 1.
+    Undecided at the call, before any is built, when `size` or `mul`
+    (`QuotientGroup._mul`, read before the orbit, which may come from a
+    file) passes the element cap.  Each keeps t's row, so its key is
+    already `_signed`, and no two are equal.  The orbit is independent of
+    `quotient_order`, which gives `size`: a walk that yields a different
+    count ends in an error."""
     if size > q.element_cap:
         raise _cap_reached(q.element_cap)
-    _refuse_mul(q)  # also for an orbit read from a file
+    mul = q._mul
     big, small = ring_tables(q.modulus), ring_tables(m)
-    red, wide, mul = big.red, big.wide, big.mul
+    red, wide = big.red, big.wide
     down = [small.at(*big.pair(i)) for i in range(q.modulus.ring_size)]
     zero, one = small.at(0, 0), small.at(1, 0)
     ones = {one, small.neg[one]} if q.projective else {one}
@@ -497,7 +497,9 @@ def orbit_order(q: QuotientGroup) -> int:
 
 
 def sl2_enumeration_order(m: Modulus) -> int:
-    """|SL(2, Z[L]/m)| by direct counting; the oracle for the index formula."""
+    """|SL(2, Z[L]/m)| by direct counting; the oracle for the index formula.
+    Its 2 * ring_size**2 steps are refused above the default element cap."""
+    _refuse_tables(m, 2 * m.ring_size ** 2, DEFAULT_ELEMENT_CAP)
     residues = list(m.residues())
     index = {r: i for i, r in enumerate(residues)}
     size = len(residues)

@@ -414,6 +414,14 @@ class TestCongruence:
                               "--hfs-file", "/no/such/file")
         assert code == 1
 
+    def test_symbol_outside_g5_is_an_input_error(self, capsys):
+        # decompose raises NotInG5Error, a ValueError, on a side pairing
+        code, out, err = invoke(capsys, "congruence",
+                                "--hfs", "[-inf; o; 1; o; inf]")
+        assert (code, out) == (1, "")
+        assert err == ("error: terminal triangular matrix [[-1+L,2-L],[0,L]] "
+                       "has non-trivial unit\n")
+
     @pytest.mark.parametrize("gen", ["S", "T^2"])
     def test_infinite_index_is_undecided_in_bounded_time(self, capsys, gen):
         start = time.perf_counter()

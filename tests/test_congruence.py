@@ -23,9 +23,7 @@ from hecke5.golden_ring import (
     GoldenInt, Modulus, RAMIFIED_PRIME, canonical_associate, ring_tables,
 )
 from hecke5.hecke_matrices import decompose, omega_2, parse_word, word
-from hecke5.quotients import (
-    _generator_actions, build_quotient, normal_closure, subgroup_closure,
-)
+from hecke5.quotients import build_quotient, normal_closure, subgroup_closure
 from hecke5.hecke_matrices import eval_word
 
 from test_farey import EXAMPLES
@@ -358,7 +356,7 @@ def right_coset_table(q, h):
     coset(q.identity)
     perms = ([], [])
     for x in reps:  # grows while it is walked
-        for act, perm in zip(_generator_actions(q.modulus, True), perms):
+        for act, perm in zip(q.actions, perms):
             perm.append(coset(act(x)))
     return CosetTable(tuple(perms[0]), tuple(perms[1]))
 

@@ -8,7 +8,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hecke5.closure import generated_closure
+from hecke5.closure import DEFAULT_ELEMENT_CAP, generated_closure
 from hecke5.golden_ring import GoldenInt, Modulus, RAMIFIED_PRIME, ring_tables
 from hecke5.hecke_matrices import (
     delta_m_words, elementary_generators, eval_word, eval_word_homogeneous,
@@ -17,8 +17,8 @@ from hecke5.hecke_matrices import (
 from hecke5 import closure, congruence, quotients
 from hecke5.congruence import _ideal_divisors
 from hecke5.quotients import (
-    UndecidedError, _cache_name, _generator_actions, _kernel,
-    _load_quotient, _row_orbit, build_quotient, check_elementary_abelian,
+    QuotientGroup, UndecidedError, _cache_name, _kernel, _load_quotient,
+    _row_orbit, build_quotient, check_elementary_abelian,
     kernel_subgroup, normal_closure, orbit_order, quotient_order,
     sl2_enumeration_order, sl_index_formula, subgroup_closure,
 )
@@ -85,6 +85,19 @@ class TestOrders:
         with pytest.raises(ValueError, match="at least 1, not 0"):
             build_quotient(Modulus.rational(2), element_cap=0)
 
+    def test_constructor_refuses_tables_above_the_cap(self):
+        """No quotient exists whose 7 * ring_size tables pass its cap, and
+        the refusal builds no table."""
+        before = ring_tables.cache_info()
+        with pytest.raises(UndecidedError) as exc:
+            QuotientGroup(Modulus.rational(535), True, DEFAULT_ELEMENT_CAP)
+        assert str(exc.value) == ("residue tables mod 535 need 2003575 "
+                                  "entries, above the element cap of 2000000")
+        assert ring_tables.cache_info() == before
+        with pytest.raises(ValueError) as exc:
+            QuotientGroup(Modulus.rational(2), True, 0)
+        assert str(exc.value) == "element cap must be at least 1, not 0"
+
     @pytest.mark.parametrize("p,expected", [
         (19, (19 * (19**2 - 1)) ** 2 // 2),  # split: |SL(2, 19)|^2 / 2
         (23, 23**2 * (23**4 - 1) // 2),      # inert: q (q^2 - 1) / 2, q = 23^2
@@ -121,8 +134,8 @@ ORACLE_MODULI = [Modulus.rational(n) for n in (*range(1, 11), 12)] + [
 def test_build_matches_bfs(mod, projective):
     """Row orbit x stabilizer against the BFS orbit of the identity."""
     group = build_quotient(mod, projective)
-    reps, shifts = _row_orbit(mod, projective)
-    bfs = generated_closure(group.identity, _generator_actions(mod, projective))
+    reps, shifts = _row_orbit(group)
+    bfs = generated_closure(group.identity, group.actions)
     assert group.elements == bfs
     assert {group.gen_S, group.gen_T} <= group.elements
     assert group.order == len(reps) * len(shifts) == len(group.elements)
@@ -347,6 +360,12 @@ class TestIndexFormula:
         assert sl_index_formula(mod) == expected
         assert sl2_enumeration_order(mod) == expected
 
+    def test_enumeration_above_the_cap_is_refused(self):
+        # two passes over the 10201**2 pairs of residues mod 101: refused
+        with pytest.raises(UndecidedError, match="mod 101 need 208120802 "
+                                                 "entries"):
+            sl2_enumeration_order(Modulus.rational(101))
+
 
 # The ideals that divide some n <= 31 and have at most 400 residues: 36,
 # among them (3)(2+L), where Q(3) and Q(2+L) have A5 in common, and both
@@ -498,7 +517,7 @@ def test_disk_cache_bad_file_is_rebuilt(tmp_path, garbage):
     assert path.read_bytes() != garbage
     loaded = build_quotient(mod, True, 10240)
     _load_quotient(path, loaded)
-    assert vars(loaded)["_orbit"] == _row_orbit(mod, True)
+    assert vars(loaded)["_orbit"] == _row_orbit(build_quotient(mod))
     assert loaded.order == 10240
     assert build_quotient(mod, cache_dir=tmp_path).order == 10240
 
@@ -573,8 +592,8 @@ def test_disk_cache_ignores_v1_files(tmp_path):
     _load_quotient(v1, probe)
     assert probe._orbit == ([ident], [ident[1]])
     stale = {v1: v1.read_bytes(), v2: v2.read_bytes()}
-    assert build_quotient(mod, cache_dir=tmp_path)._orbit == _row_orbit(mod,
-                                                                        True)
+    assert build_quotient(mod, cache_dir=tmp_path)._orbit == _row_orbit(
+        build_quotient(mod))
     assert {path: path.read_bytes() for path in stale} == stale
     assert sorted(tmp_path.iterdir()) == sorted(
         [v1, v2, tmp_path / _cache_name(mod, True)])
