@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from math import gcd
 from pathlib import Path
 from typing import AbstractSet, Callable
 
@@ -161,8 +162,40 @@ class QuotientGroup:
         return element_order(x, self.identity, self._mult, self.element_cap)
 
     def order_histogram(self) -> Counter:
-        return Counter(map(self.element_order,
-                           _kernel(self, Modulus.rational(1), self.order)))
+        """Element orders by power walks over cyclic subgroups.
+
+        Each element is numbered by its place k = i |U| + j in `_kernel`'s
+        mod-1 stream, (1 0; u 1) t with t = reps[i] and u = shifts[j].  A
+        key's place comes from its row, which gives i, and from
+        u = c d_t - d c_t, as in `_row_orbit`.  Each x met without an order
+        is multiplied by itself back to the identity, n steps, and every
+        power x^e gets the order n / gcd(e, n).  The orders fill one array
+        of |Q| entries; no set or dict is keyed by element."""
+        stream = _kernel(self, Modulus.rational(1), self.order)
+        reps, shifts = self._orbit
+        mul, mult, identity = self._mul, self._mult, self.identity
+        r = ring_tables(self.modulus)
+        red, neg, width = r.red, r.neg, len(shifts)
+        row = {t[:2]: i for i, t in enumerate(reps)}
+        col = [0] * self.modulus.ring_size
+        for j, u in enumerate(shifts):
+            col[u] = j
+        # sized by the orbit: a count other than |Q| ends in `_kernel`'s error
+        orders = array("I", [0]) * (len(reps) * width)
+        for k, x in enumerate(stream):
+            if orders[k]:
+                continue
+            places, y = [k], x
+            while y != identity:
+                y = mult(y, x)
+                i = row[y[:2]]
+                t = reps[i]
+                places.append(i * width + col[red[mul[y[2]][t[3]]
+                                                   + mul[neg[y[3]]][t[2]]]])
+            n = len(places)
+            for e, place in enumerate(places, 1):
+                orders[place] = n // gcd(e, n)
+        return Counter(orders)
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,28 @@ class TestQuotient:
         assert code == 0
         assert "element orders: 1:1, 2:5, 5:4" in out
 
+    def test_histogram_mod_16(self, capsys):
+        # pinned from the per-element orders; the counts sum to 655360
+        code, out, err = invoke(capsys, "quotient", "--mod", "16",
+                                "--histogram")
+        assert (code, err) == (0, "")
+        assert out == ("quotient mod 16: order 655360\n"
+                       "element orders: 1:1, 2:5183, 4:19392, 5:16384, "
+                       "8:122880, 10:49152, 16:245760, 20:196608\n")
+
+    def test_histogram_cap_boundary(self, capsys):
+        # |Q(8)| = 10240: the order array is refused one below it
+        code, out, err = invoke(capsys, "quotient", "--mod", "8",
+                                "--histogram", "--element-cap", "10239")
+        assert (code, out) == (2, "")
+        assert err == "undecided: closure reached the element cap of 10239\n"
+        code, out, err = invoke(capsys, "quotient", "--mod", "8",
+                                "--histogram", "--element-cap", "10240")
+        assert (code, err) == (0, "")
+        assert out == ("quotient mod 8: order 10240\n"
+                       "element orders: 1:1, 2:383, 4:1920, 5:1024, 8:3840, "
+                       "10:3072\n")
+
     def test_json_records(self, capsys):
         code, out, _ = invoke(capsys, "quotient", "--mod", "2",
                               "--format", "json")

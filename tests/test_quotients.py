@@ -4,6 +4,7 @@ import os
 import random
 import stat
 import struct
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +155,30 @@ def test_element_cap_boundary(mod, projective):
     with pytest.raises(UndecidedError,
                        match=f"closure reached the element cap of {order - 1}$"):
         below.elements
+
+
+def histogram_by_element(group):
+    """The histogram oracle: each element's order on its own, which costs
+    the sum of the orders in multiplications."""
+    return Counter(map(group.element_order,
+                       _kernel(group, Modulus.rational(1), group.order)))
+
+
+@pytest.mark.parametrize("projective", [True, False])
+@pytest.mark.parametrize("mod", [
+    *(Modulus.rational(n) for n in (1, 2, 3, 4, 5, 6, 8, 9, 12)),
+    *(Modulus.ideal(GoldenInt(a, b)) for a, b in [(2, 1), (4, 2), (3, 1)]),
+], ids=str)
+def test_histogram_matches_the_oracle(mod, projective):
+    """Power walks over cyclic subgroups against each element's own order;
+    the counts add up to |Q|, one element has order 1, and every order
+    divides |Q|."""
+    group = build_quotient(mod, projective)
+    hist = group.order_histogram()
+    assert hist == histogram_by_element(group)
+    assert sum(hist.values()) == group.order
+    assert hist[1] == 1
+    assert all(group.order % n == 0 for n in hist)
 
 
 class TestLagrange:
