@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import AbstractSet, Callable
 
 from .closure import (
-    DEFAULT_ELEMENT_CAP, UndecidedError, _cap_reached, element_order, subgroup,
+    DEFAULT_ELEMENT_CAP, UndecidedError, element_order, subgroup,
 )
 from .closure import normal_closure as _normal_closure_engine
 from .golden_ring import (
@@ -119,9 +119,9 @@ class QuotientGroup:
         return quotient_order(self.modulus, self.projective)
 
     @cached_property
-    def elements(self) -> frozenset[Key]:
-        """All of Q, the kernel of reduction mod 1."""
-        return frozenset(_kernel(self, Modulus.rational(1), self.order))
+    def elements(self) -> _KernelMembers:
+        """All of Q, the kernel of reduction mod 1: its `len` is the order."""
+        return _KernelMembers(self, Modulus.rational(1), self.order)
 
     @cached_property
     def gen_S(self) -> Key:
@@ -171,7 +171,7 @@ class QuotientGroup:
         is multiplied by itself back to the identity, n steps, and every
         power x^e gets the order n / gcd(e, n).  The orders fill one array
         of |Q| entries; no set or dict is keyed by element."""
-        stream = _kernel(self, Modulus.rational(1), self.order)
+        stream = iter(self.elements)  # refused above the cap before the orbit
         reps, shifts = self._orbit
         mul, mult, identity = self._mul, self._mult, self.identity
         r = ring_tables(self.modulus)
@@ -397,7 +397,9 @@ def _kernel(q: QuotientGroup, m: Modulus, size: int) -> Iterator[Key]:
     `quotient_order`, which gives `size`: a walk that yields a different
     count ends in an error."""
     if size > q.element_cap:
-        raise _cap_reached(q.element_cap)
+        raise UndecidedError(f"the kernel of Q({q.modulus}) mod {m} has "
+                             f"{size} elements, above the element cap of "
+                             f"{q.element_cap}")
     mul = q._mul
     big, small = ring_tables(q.modulus), ring_tables(m)
     red, wide = big.red, big.wide

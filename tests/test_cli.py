@@ -73,7 +73,8 @@ class TestQuotient:
         code, out, err = invoke(capsys, "quotient", "--mod", "8",
                                 "--histogram", "--element-cap", "10239")
         assert (code, out) == (2, "")
-        assert err == "undecided: closure reached the element cap of 10239\n"
+        assert err == ("undecided: the kernel of Q(8) mod 1 has 10240 "
+                       "elements, above the element cap of 10239\n")
         code, out, err = invoke(capsys, "quotient", "--mod", "8",
                                 "--histogram", "--element-cap", "10240")
         assert (code, err) == (0, "")
@@ -153,11 +154,28 @@ class TestQuotient:
                                 "--histogram")
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
-        assert err == "undecided: closure reached the element cap of 2000000\n"
+        assert err == ("undecided: the kernel of Q(19) mod 1 has 23392800 "
+                       "elements, above the element cap of 2000000\n")
 
     def test_order_above_cap_is_answered(self, capsys):
         code, out, _ = invoke(capsys, "quotient", "--mod", "19")
         assert (code, out) == (0, "quotient mod 19: order 23392800\n")
+
+    def test_histogram_above_cap_walks_no_orbit(self, capsys, monkeypatch):
+        """The histogram is refused on the order alone, before the row orbit
+        (seconds at mod 31) is walked; the number of elements is the order,
+        above the cap or not."""
+        def walk(q):
+            raise AssertionError(f"walked the row orbit of Q({q.modulus})")
+
+        monkeypatch.setattr(quotients, "_row_orbit", walk)
+        code, out, err = invoke(capsys, "quotient", "--mod", "31",
+                                "--histogram")
+        assert (code, out) == (2, "")
+        assert err == ("undecided: the kernel of Q(31) mod 1 has 442828800 "
+                       "elements, above the element cap of 2000000\n")
+        assert len(quotients.build_quotient(Modulus.rational(25))
+                   .elements) == 117187500
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_cap_below_one_is_input_error(self, capsys, cap):
@@ -547,19 +565,31 @@ class TestCensus:
 ])
 def test_element_sets_built_only_when_read(capsys, monkeypatch, argv, builds):
     """Orders come from `quotient_order`, and kernels and the histogram's
-    elements stream off the row orbit: no command builds the element set."""
-    built = []
+    elements stream off the row orbit: no command builds the element set,
+    the member set of the kernel mod 1, and only the histogram iterates it."""
+    built, streamed = [], []
+    one = Modulus.rational(1)
 
-    def elements(q):
-        if not builds:
-            raise AssertionError(f"built the elements of Q({q.modulus})")
-        built.append(q.modulus)
-        return real.func(q)
+    def materialise(members):
+        if members._m == one:
+            if not builds:
+                raise AssertionError(f"built the elements of "
+                                     f"Q({members._q.modulus})")
+            built.append(members._q.modulus)
+        return real_set.func(members)
 
-    real = quotients.QuotientGroup.__dict__["elements"]
-    monkeypatch.setattr(quotients.QuotientGroup, "elements", property(elements))
+    def iterate(members):
+        if members._m == one:
+            streamed.append(members._q.modulus)
+        return real_iter(members)
+
+    real_set = quotients._KernelMembers.__dict__["_set"]
+    real_iter = quotients._KernelMembers.__iter__
+    monkeypatch.setattr(quotients._KernelMembers, "_set", property(materialise))
+    monkeypatch.setattr(quotients._KernelMembers, "__iter__", iterate)
     assert invoke(capsys, *argv)[0] == 0
     assert bool(built) == builds
+    assert bool(streamed) == (argv[-1] == "--histogram")
 
 
 def test_version_flag(capsys):

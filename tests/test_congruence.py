@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import factorial
 
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from sympy.combinatorics.fp_groups import (
     FpGroup, coset_enumeration_r, low_index_subgroups,
 )
+from sympy.combinatorics import Permutation, PermutationGroup
 from sympy.combinatorics.free_groups import free_group
 
 from hecke5 import congruence
@@ -23,7 +24,9 @@ from hecke5.golden_ring import (
     GoldenInt, Modulus, RAMIFIED_PRIME, canonical_associate, ring_tables,
 )
 from hecke5.hecke_matrices import decompose, omega_2, parse_word, word
-from hecke5.quotients import build_quotient, normal_closure, subgroup_closure
+from hecke5.quotients import (
+    build_quotient, normal_closure, quotient_order, subgroup_closure,
+)
 from hecke5.hecke_matrices import eval_word
 
 from test_farey import EXAMPLES
@@ -550,6 +553,20 @@ def sympy_census(n):
     return out
 
 
+@cache
+def census_rows(n):
+    """Each subgroup of index n with its `levels`, decided once for every
+    test that reads them."""
+    return [(t, levels(t)) for t in enumerate_index(n)]
+
+
+def monodromy_order(t):
+    """|P| for P = <perm_s, perm_t> = G5 / core(K), by sympy's exact
+    `order()` (Schreier-Sims), never the Monte Carlo `is_alt_sym()`."""
+    return PermutationGroup([Permutation(list(t.perm_s)),
+                             Permutation(list(t.perm_t))]).order()
+
+
 class TestCensus:
     @pytest.mark.parametrize("n,count", list(enumerate(hall_counts(12)))[1:])
     def test_small_indexes(self, n, count):
@@ -571,12 +588,39 @@ class TestCensus:
     def test_index_ten_congruence_rows(self):
         """61 of the 1766 subgroups of index 10 are congruence.  Their test
         moduli go up to 40, whose walks need no ring_size**2 table."""
-        tabs = enumerate_index(10)
-        found = Counter(str(levels(t)[2]) for t in tabs)
+        rows = census_rows(10)
+        found = Counter(str(level) for _, (_, _, level) in rows)
         del found["None"]
-        assert len(tabs) == 1766
+        assert len(rows) == 1766
         assert found == {"(2)": 1, "(3)": 10, "(4)": 30, "(2+L)": 10,
                          "(6)": 5, "(4+2*L)": 5}
+
+    def test_congruence_monodromy_divides_the_level_quotient(self):
+        """A congruence K of level A contains G(A), so core(K) does, and P
+        is a quotient of Q(A): |P| divides `quotient_order(A)`.  This ties
+        the closed-form orders to the census (1, 1, 15, 12 and 61 rows at
+        index 1, 2, 5, 6 and 10)."""
+        counts = Counter()
+        for n in range(1, 11):
+            for t, (_, _, level) in census_rows(n):
+                if level is not None:
+                    counts[n] += 1
+                    assert quotient_order(level) % monodromy_order(t) == 0, t
+        assert counts == {1: 1, 2: 1, 5: 15, 6: 12, 10: 61}
+
+    def test_alternating_monodromy_is_not_congruence(self):
+        """Non-congruence without the paper's theorem.  If |P| is n!/2 or
+        n!, then P contains A_n.  For n >= 7, A_n is no PSL(2, q) and not
+        A5, so it is no composition factor of any Q(N) (the argument in
+        `quotient_order`'s docstring), and K is no congruence subgroup.
+        Every such row at index 7-10 is not congruence by the walk too."""
+        counts = Counter()
+        for n in range(7, 11):
+            for t, (_, _, level) in census_rows(n):
+                if monodromy_order(t) in (factorial(n) // 2, factorial(n)):
+                    counts[n] += 1
+                    assert level is None, t
+        assert counts == {7: 56, 8: 32, 9: 9, 10: 1380}
 
     def test_index_five(self):
         tabs = enumerate_index(5)

@@ -2,6 +2,7 @@ import hashlib
 import operator
 import os
 import random
+import re
 import stat
 import struct
 from collections import Counter
@@ -77,12 +78,15 @@ class TestOrders:
                                                  "above the element cap of 27"):
             build_quotient(Modulus.rational(2), element_cap=27)
         small = build_quotient(Modulus.rational(2), element_cap=31)
-        assert small.order == 10
-        with pytest.raises(UndecidedError, match="mod 2 need 32 entries, "
-                                                 "above the element cap of 31"):
-            small.elements
-        assert len(build_quotient(Modulus.rational(2), element_cap=32)
-                   .elements) == 10
+        assert small.order == len(small.elements) == 10
+        for read in (lambda: frozenset(small.elements),
+                     lambda: small.identity in small.elements):
+            with pytest.raises(UndecidedError, match="mod 2 need 32 entries, "
+                                                     "above the element cap "
+                                                     "of 31"):
+                read()
+        assert len(frozenset(build_quotient(Modulus.rational(2),
+                                            element_cap=32).elements)) == 10
         with pytest.raises(ValueError, match="at least 1, not 0"):
             build_quotient(Modulus.rational(2), element_cap=0)
 
@@ -146,22 +150,26 @@ def test_build_matches_bfs(mod, projective):
 @pytest.mark.parametrize("mod", [Modulus.rational(8), Modulus.ideal(RAMIFIED_PRIME),
                                  Modulus.ideal(GoldenInt(5, 2))], ids=str)
 def test_element_cap_boundary(mod, projective):
-    """The elements are undecided exactly when the order passes the cap, as
-    the BFS was; the order is known either way."""
+    """Enumerating the elements is undecided exactly when the order passes
+    the cap, as the BFS was; the order, and so their number, is known
+    either way."""
     order = build_quotient(mod, projective).order
-    assert len(build_quotient(mod, projective, element_cap=order).elements) == order
+    at = build_quotient(mod, projective, element_cap=order)
+    assert len(frozenset(at.elements)) == order
     below = build_quotient(mod, projective, element_cap=order - 1)
-    assert below.order == order
-    with pytest.raises(UndecidedError,
-                       match=f"closure reached the element cap of {order - 1}$"):
-        below.elements
+    assert below.order == len(below.elements) == order
+    refusal = (rf"^the kernel of Q\({re.escape(str(mod))}\) mod 1 has "
+               rf"{order} elements, above the element cap of {order - 1}$")
+    for read in (lambda: frozenset(below.elements),
+                 lambda: below.identity in below.elements):
+        with pytest.raises(UndecidedError, match=refusal):
+            read()
 
 
 def histogram_by_element(group):
     """The histogram oracle: each element's order on its own, which costs
     the sum of the orders in multiplications."""
-    return Counter(map(group.element_order,
-                       _kernel(group, Modulus.rational(1), group.order)))
+    return Counter(map(group.element_order, group.elements))
 
 
 @pytest.mark.parametrize("projective", [True, False])
@@ -438,8 +446,11 @@ def test_lazy_ambient_closure():
     assert h.order == 5**6
     assert check_elementary_abelian(h, 5)
     assert amb.order == sl_index_formula(Modulus.rational(25)) // 2
+    assert len(amb.elements) == amb.order
     with pytest.raises(UndecidedError):
-        amb.elements
+        frozenset(amb.elements)
+    with pytest.raises(UndecidedError):
+        amb.identity in amb.elements
 
 
 def test_disk_cache_roundtrip(tmp_path, monkeypatch):
@@ -484,9 +495,14 @@ def test_cached_quotient_obeys_element_cap(tmp_path):
     mod = Modulus.rational(8)  # order 10240
     build_quotient(mod, cache_dir=tmp_path)
     for cache_dir in (None, tmp_path):
-        with pytest.raises(UndecidedError,
-                           match="closure reached the element cap of 9000"):
-            build_quotient(mod, element_cap=9000, cache_dir=cache_dir).elements
+        capped = build_quotient(mod, element_cap=9000, cache_dir=cache_dir)
+        assert len(capped.elements) == capped.order == 10240
+        for read in (lambda: frozenset(capped.elements),
+                     lambda: capped.identity in capped.elements):
+            with pytest.raises(UndecidedError,
+                               match="Q\\(8\\) mod 1 has 10240 elements, "
+                                     "above the element cap of 9000$"):
+                read()
     assert build_quotient(mod, element_cap=10240,
                           cache_dir=tmp_path).order == 10240
     # mul mod 8 has 64**2 entries: refused with the orbit read from the file
@@ -505,8 +521,11 @@ def test_cache_dir_leaves_an_order_above_the_cap_alone(
     assert group.order == 7500
     path = tmp_path / _cache_name(group.modulus, True)
     assert list(tmp_path.iterdir()) == [path]
+    assert len(group.elements) == group.order
     with pytest.raises(UndecidedError):
-        group.elements
+        frozenset(group.elements)
+    with pytest.raises(UndecidedError):
+        group.identity in group.elements
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
