@@ -13,8 +13,10 @@ level is the least-norm ideal divisor (d) of (M) whose walk has no conflict.
 from __future__ import annotations
 
 import json
+from array import array
 from collections import deque
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
 from math import lcm
 
 from . import __version__
@@ -291,6 +293,49 @@ def is_congruence(generators: list[Word],
     return CongruenceReport(index, m, big, qo, qo // blocks, "not-congruence")
 
 
+class _Graph:
+    """Q(d)'s breadth-first walk from the identity, S before T, grown one
+    edge at a time and shared by every walk of Q(d) (`_graph`).
+
+    Elements are numbered by first appearance, the identity 0, so edge
+    2i + g leads from element i by generator g (0 for S, 1 for T) to
+    element `succ[2i + g]`.  The walk steps with `QuotientGroup.actions`,
+    whose constructor refuses tables above the element cap before any is
+    built.  Once every element's two edges are built the keys are dropped.
+    """
+
+    def __init__(self, d: Modulus, cap: int):
+        q = QuotientGroup(d, True, cap)
+        self.succ = array("I")
+        self._cap, self._actions = cap, q.actions
+        self._keys, self._elements = {q.identity: 0}, [q.identity]
+
+    def grow(self, e: int) -> int:
+        """Build edge e unless it is built; the number of edges built.
+        Undecided if the edge reaches a new element when the walk already
+        has as many as the cap."""
+        succ, keys, elements = self.succ, self._keys, self._elements
+        if e < len(succ):
+            return len(succ)
+        y = self._actions[e & 1](elements[e >> 1])
+        j = keys.get(y)
+        if j is None:
+            j = len(elements)
+            if j >= self._cap:
+                raise UndecidedError(f"walk reached the element cap of "
+                                     f"{self._cap}")
+            keys[y] = j
+            elements.append(y)
+        succ.append(j)
+        if len(succ) == 2 * len(elements):  # the walk is complete
+            self._keys = self._elements = self._actions = None
+        return len(succ)
+
+
+# keyed by the HNF and the cap: a graph grown under one cap serves no other
+_graph = lru_cache(maxsize=64)(_Graph)
+
+
 def _conflicts(t: CosetTable, d: Modulus):
     """Walk Q(d) breadth-first from the identity, labelling each element
     with a coset: the identity gets 0, x*S gets perm_s[label(x)] and x*T
@@ -299,28 +344,25 @@ def _conflicts(t: CosetTable, d: Modulus):
 
     Two words with one image in Q(d) differ by some g in G(d), and
     K*g*w = K*w iff g is in K.  Each edge off the walk's spanning tree is a
-    Schreier generator of G(d), so checking every edge is complete.  The
-    walk steps with `QuotientGroup.actions`, whose constructor refuses
-    tables above the default element cap before any is built.
+    Schreier generator of G(d), so checking every edge is complete.  Every
+    walk of Q(d) meets its elements in the same order, so the walk is that
+    of the shared `_Graph`, grown only as far as some walk has stepped, and
+    element j is new to this walk iff j == len(label), kept as `reached`.
     """
-    q = QuotientGroup(d, True, DEFAULT_ELEMENT_CAP)
-    cap = q.element_cap
-    actions = list(zip(q.actions, (t.perm_s, t.perm_t)))
-    label = {q.identity: 0}
-    order = [q.identity]
-    for x in order:  # grows while it is walked
-        a = label[x]
-        for act, perm in actions:
-            y, b = act(x), perm[a]
-            c = label.get(y)
-            if c is None:
-                if len(order) >= cap:
-                    raise UndecidedError(f"walk reached the element cap of "
-                                         f"{cap}")
-                label[y] = b
-                order.append(y)
-            elif c != b:
-                yield c, b
+    graph = _graph(d, DEFAULT_ELEMENT_CAP)
+    succ, images = graph.succ, list(zip(t.perm_s, t.perm_t))
+    label, reached, built, e = [0], 1, len(succ), 0
+    for a in label:  # grows while it is walked
+        for b in images[a]:
+            if e == built:  # other walks may have built it since
+                built = graph.grow(e)
+            j = succ[e]
+            if j == reached:
+                label.append(b)
+                reached += 1
+            elif label[j] != b:
+                yield label[j], b
+            e += 1
 
 
 def _block_count(t: CosetTable, pairs) -> int:

@@ -25,7 +25,8 @@ from hecke5.golden_ring import (
 )
 from hecke5.hecke_matrices import decompose, omega_2, parse_word, word
 from hecke5.quotients import (
-    build_quotient, normal_closure, quotient_order, subgroup_closure,
+    QuotientGroup, build_quotient, normal_closure, quotient_order,
+    subgroup_closure,
 )
 from hecke5.hecke_matrices import eval_word
 
@@ -345,6 +346,41 @@ def passes(t, d: Modulus):
     return next(_conflicts(t, d), None) is None
 
 
+def tuple_conflicts(t, d: Modulus):
+    """The oracle for `_conflicts`: a walk that shares nothing with other
+    walks.  It steps Q(d)'s 4-tuple keys itself and labels them in a dict,
+    under the element cap read at call time."""
+    q = QuotientGroup(d, True, congruence.DEFAULT_ELEMENT_CAP)
+    cap = q.element_cap
+    actions = list(zip(q.actions, (t.perm_s, t.perm_t)))
+    label = {q.identity: 0}
+    order = [q.identity]
+    for x in order:  # grows while it is walked
+        a = label[x]
+        for act, perm in actions:
+            y, b = act(x), perm[a]
+            c = label.get(y)
+            if c is None:
+                if len(order) >= cap:
+                    raise UndecidedError(f"walk reached the element cap of "
+                                         f"{cap}")
+                label[y] = b
+                order.append(y)
+            elif c != b:
+                yield c, b
+
+
+def until_undecided(walk):
+    """The pairs a walk yields, then its UndecidedError's text or None."""
+    pairs = []
+    try:
+        for pair in walk:
+            pairs.append(pair)
+    except UndecidedError as e:
+        return pairs, str(e)
+    return pairs, None
+
+
 def right_coset_table(q, h):
     """Right action of S and T on the right cosets h*x of a subgroup h of q."""
     ids, reps = {}, []
@@ -406,6 +442,7 @@ class TestAlgebraicLevel:
 
         monkeypatch.setattr(congruence, "_conflicts", spy)
         ring_tables.cache_clear()
+        congruence._graph.cache_clear()  # cached graphs need no tables
         for t in enumerate_index(6):
             levels(t)
         assert ring_tables.cache_info().currsize == len(walked) > 1
@@ -416,11 +453,13 @@ class TestAlgebraicLevel:
         undecided before it builds any."""
         t = enumerate_index(2)[0]
         before = ring_tables.cache_info()
+        graphs = congruence._graph.cache_info().currsize
         with pytest.raises(UndecidedError,
                            match="mod 1000 need 7000000 entries, above the "
                                  "element cap of 2000000"):
             next(_conflicts(t, Modulus.rational(1000)))
         assert ring_tables.cache_info() == before
+        assert congruence._graph.cache_info().currsize == graphs
 
     def test_minimal_divisor_found(self):
         level = algebraic_level(coset_table(hfs_words("i5-level5")), 5)
@@ -517,6 +556,80 @@ class TestAlgebraicLevel:
             assert q.order == img.order * 5
 
 
+class TestSharedWalk:
+    """`_conflicts` walks one graph of Q(d) per modulus, grown as far as
+    some walk has stepped; it yields what `tuple_conflicts` yields."""
+
+    def test_matches_the_tuple_walk(self):
+        """Every row at index 5-7, at every ideal divisor of its test
+        modulus, from an empty graph cache and in a seeded shuffled order:
+        each walk once stopped at its first conflict and once in full, so
+        graphs are extended from partial states.  The 14 rows at index 7
+        that walk Q(24), of 1,228,800 elements, walk it only to their
+        first conflict: in full both walks of them take about a minute.
+        Q(10), of 75,000 elements, is the largest walked in full."""
+        walks = []
+        for n in (5, 6, 7):
+            for t, (_, m, _) in census_rows(n):
+                for g in _ideal_divisors(m):
+                    d = Modulus.ideal(g)
+                    walks.append((t, d, False))
+                    if d != Modulus.rational(24):
+                        walks.append((t, d, True))
+        assert len(walks) == 2 * 554 - 14
+        random.Random(27).shuffle(walks)
+        congruence._graph.cache_clear()
+        for t, d, full in walks:
+            if full:
+                assert list(_conflicts(t, d)) == list(tuple_conflicts(t, d))
+            else:
+                assert (next(_conflicts(t, d), None)
+                        == next(tuple_conflicts(t, d), None))
+
+    def test_stopped_walk_then_complete_walk(self):
+        """A walk that stops at its first conflict leaves the graph of Q(8)
+        partial; a complete walk of another row extends it to all of Q(8),
+        and the first walk, resumed, goes on over the edges it built."""
+        d = Modulus.rational(8)
+        first, second = [t for t, (_, m, level) in census_rows(6)
+                         if m == 8 and level is None][:2]
+        congruence._graph.cache_clear()
+        stopped, expected = _conflicts(first, d), tuple_conflicts(first, d)
+        assert next(stopped) == next(expected)
+        graph = congruence._graph(d, congruence.DEFAULT_ELEMENT_CAP)
+        assert 0 < len(graph.succ) < 2 * quotient_order(d)
+        assert list(_conflicts(second, d)) == list(tuple_conflicts(second, d))
+        assert len(graph.succ) == 2 * quotient_order(d)
+        assert list(stopped) == list(expected)
+
+    def test_capped_walks_match_the_tuple_walk(self, monkeypatch):
+        """Every element cap from 161 down to 100 on Q(4), of 160 elements
+        and residue tables of 7 * 16 = 112 entries: each row at index 1 and
+        5 yields the tuple walk's pairs and then its refusal, if any, at the
+        same edge.  Some walks meet conflicts before the capped edge, some
+        none; a graph grown under one cap serves no other."""
+        d = Modulus.rational(4)
+        rows = enumerate_index(1) + enumerate_index(5)
+        congruence._graph.cache_clear()
+        seen = Counter()
+        for cap in range(161, 99, -1):
+            monkeypatch.setattr(congruence, "DEFAULT_ELEMENT_CAP", cap)
+            for t in rows:
+                got = until_undecided(_conflicts(t, d))
+                assert got == until_undecided(tuple_conflicts(t, d))
+                pairs, refusal = got
+                seen[bool(pairs), refusal and refusal.split()[0]] += 1
+        # 21 rows conflict in Q(4), 6 do not; caps 160 and 161 pass the
+        # whole walk, 112-159 stop it and 100-111 refuse its tables
+        assert seen == {(True, None): 2 * 21, (False, None): 2 * 6,
+                        (True, "walk"): 48 * 21, (False, "walk"): 48 * 6,
+                        (False, "residue"): 12 * 27}
+        monkeypatch.undo()
+        for t in rows:
+            assert until_undecided(_conflicts(t, d)) == (
+                list(tuple_conflicts(t, d)), None)
+
+
 def hall_counts(top):
     """Index-n subgroup counts of C2 * C5 for n = 0 .. top, by Hall's
     recursion, which never enumerates a subgroup.
@@ -594,6 +707,15 @@ class TestCensus:
         assert len(rows) == 1766
         assert found == {"(2)": 1, "(3)": 10, "(4)": 30, "(2+L)": 10,
                          "(6)": 5, "(4+2*L)": 5}
+
+    def test_index_eleven_congruence_rows(self):
+        """44 of the 5192 subgroups of index 11 are congruence, of level
+        (3+L) or (1-3*L): the two primes over 11."""
+        rows = census_rows(11)
+        found = Counter(str(level) for _, (_, _, level) in rows)
+        del found["None"]
+        assert len(rows) == 5192
+        assert found == {"(3+L)": 22, "(1-3*L)": 22}
 
     def test_congruence_monodromy_divides_the_level_quotient(self):
         """A congruence K of level A contains G(A), so core(K) does, and P
