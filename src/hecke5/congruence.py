@@ -299,15 +299,18 @@ class _Graph:
 
     Elements are numbered by first appearance, the identity 0, so edge
     2i + g leads from element i by generator g (0 for S, 1 for T) to
-    element `succ[2i + g]`.  The walk steps with `QuotientGroup.actions`,
+    element `succ[2i + g]`.  The walk steps with `QuotientGroup.step`,
     whose constructor refuses tables above the element cap before any is
-    built.  Once every element's two edges are built the keys are dropped.
+    built.  `step` gives element i's S and T images in one call at edge
+    2i; the T image is held until edge 2i + 1, so it is numbered, and the
+    element cap refuses it, at its own edge, as walks one edge at a time
+    expect.  Once every element's two edges are built the keys are dropped.
     """
 
     def __init__(self, d: Modulus, cap: int):
         q = QuotientGroup(d, True, cap)
         self.succ = array("I")
-        self._cap, self._actions = cap, q.actions
+        self._cap, self._step, self._held = cap, q.step, None
         self._keys, self._elements = {q.identity: 0}, [q.identity]
 
     def grow(self, e: int) -> int:
@@ -317,7 +320,10 @@ class _Graph:
         succ, keys, elements = self.succ, self._keys, self._elements
         if e < len(succ):
             return len(succ)
-        y = self._actions[e & 1](elements[e >> 1])
+        if e & 1:
+            y = self._held
+        else:
+            y, self._held = self._step(elements[e >> 1])
         j = keys.get(y)
         if j is None:
             j = len(elements)
@@ -328,7 +334,7 @@ class _Graph:
             elements.append(y)
         succ.append(j)
         if len(succ) == 2 * len(elements):  # the walk is complete
-            self._keys = self._elements = self._actions = None
+            self._keys = self._elements = self._step = self._held = None
         return len(succ)
 
 
@@ -419,6 +425,14 @@ def _ideal_divisors(n: int) -> list[GoldenInt]:
     return divisors
 
 
+@lru_cache(maxsize=64)
+def _test_moduli(big: int) -> tuple[Modulus, ...]:
+    """The ideal divisors of (big), least norm first: shared by every row
+    whose test modulus is `big`."""
+    return tuple(Modulus.ideal(d) for d in
+                 sorted(_ideal_divisors(big), key=lambda g: abs(g.norm())))
+
+
 def algebraic_level(t: CosetTable, big: int) -> Modulus | None:
     """Least-norm ideal (d) dividing (big) with G(d) <= K, or None.
 
@@ -426,9 +440,9 @@ def algebraic_level(t: CosetTable, big: int) -> Modulus | None:
     are closed under gcd (a test checks this on the census), so the first
     one to pass is the algebraic level.
     """
-    for d in sorted(_ideal_divisors(big), key=lambda g: abs(g.norm())):
-        if next(_conflicts(t, Modulus.ideal(d)), None) is None:
-            return Modulus.ideal(d)
+    for d in _test_moduli(big):
+        if next(_conflicts(t, d), None) is None:
+            return d
     return None
 
 

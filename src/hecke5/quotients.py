@@ -40,7 +40,11 @@ Key = tuple[int, int, int, int]
 
 
 def _signed(neg: list[int], t: Key) -> Key:
-    """The smaller of t and -t: the key of a matrix taken up to sign."""
+    """The smaller of t and -t: the key of a matrix taken up to sign.
+
+    `QuotientGroup.step` and `_mult` apply this rule in place: they negate
+    a key iff its first entry's negation is smaller, or equal and the rest
+    negated is smaller."""
     n = (neg[t[0]], neg[t[1]], neg[t[2]], neg[t[3]])
     return n if n < t else t
 
@@ -79,22 +83,31 @@ class QuotientGroup:
         return ring_tables(self.modulus).mul
 
     @cached_property
-    def actions(self) -> tuple[Callable[[Key], Key], ...]:
-        """Right multiplication by S = (0 1; -1 0) and T = (1 L; 0 1)."""
+    def step(self) -> Callable[[Key], tuple[Key, Key]]:
+        """x -> (x S, x T), with S = (0 1; -1 0) and T = (1 L; 0 1): both
+        right multiplications of x in one call."""
         r, projective = ring_tables(self.modulus), self.projective
         red, wide, lam, neg = r.red, r.wide, r.lam, r.neg
 
-        def times_s(x: Key) -> Key:  # (a b; c d) S = (-b a; -d c)
+        def step(x: Key) -> tuple[Key, Key]:
             a, b, c, d = x
-            t = (neg[b], a, neg[d], c)
-            return _signed(neg, t) if projective else t
+            # (a b; c d) S = (-b a; -d c) and T = (a aL+b; c cL+d)
+            nb, bt, dt = neg[b], red[lam[a] + wide[b]], red[lam[c] + wide[d]]
+            if not projective:
+                return (nb, a, neg[d], c), (a, bt, c, dt)
+            if nb < b:  # signed by the first entries, else as a whole
+                s = (nb, a, neg[d], c)
+            elif nb > b:
+                s = (b, neg[a], d, neg[c])
+            else:
+                s = min((nb, a, neg[d], c), (b, neg[a], d, neg[c]))
+            na = neg[a]
+            if na > a:
+                return s, (a, bt, c, dt)
+            t = (na, neg[bt], neg[c], neg[dt])
+            return s, (t if na < a else min((a, bt, c, dt), t))
 
-        def times_t(x: Key) -> Key:  # (a b; c d) T = (a aL+b; c cL+d)
-            a, b, c, d = x
-            t = (a, red[lam[a] + wide[b]], c, red[lam[c] + wide[d]])
-            return _signed(neg, t) if projective else t
-
-        return times_s, times_t
+        return step
 
     @cached_property
     def _mult(self) -> Callable[[Key, Key], Key]:
@@ -104,9 +117,15 @@ class QuotientGroup:
         def mult(x: Key, y: Key) -> Key:
             y0, y1, y2, y3 = y
             m0, m1, m2, m3 = mul[x[0]], mul[x[1]], mul[x[2]], mul[x[3]]
-            t = (red[m0[y0] + m1[y2]], red[m0[y1] + m1[y3]],
-                 red[m2[y0] + m3[y2]], red[m2[y1] + m3[y3]])
-            return _signed(neg, t) if projective else t
+            a, b = red[m0[y0] + m1[y2]], red[m0[y1] + m1[y3]]
+            c, d = red[m2[y0] + m3[y2]], red[m2[y1] + m3[y3]]
+            if projective:  # signed by the first entries, else as a whole
+                na = neg[a]
+                if na < a:
+                    return (na, neg[b], neg[c], neg[d])
+                if na == a:
+                    return min((a, b, c, d), (na, neg[b], neg[c], neg[d]))
+            return (a, b, c, d)
 
         return mult
 
@@ -176,8 +195,9 @@ class QuotientGroup:
         mul, mult, identity = self._mul, self._mult, self.identity
         r = ring_tables(self.modulus)
         red, neg, width = r.red, r.neg, len(shifts)
-        row = {t[:2]: i for i, t in enumerate(reps)}
-        col = [0] * self.modulus.ring_size
+        size = self.modulus.ring_size
+        row = {t[0] * size + t[1]: i for i, t in enumerate(reps)}
+        col = [0] * size
         for j, u in enumerate(shifts):
             col[u] = j
         # sized by the orbit: a count other than |Q| ends in `_kernel`'s error
@@ -188,7 +208,7 @@ class QuotientGroup:
             places, y = [k], x
             while y != identity:
                 y = mult(y, x)
-                i = row[y[:2]]
+                i = row[y[0] * size + y[1]]
                 t = reps[i]
                 places.append(i * width + col[red[mul[y[2]][t[3]]
                                                    + mul[neg[y[3]]][t[2]]]])
@@ -242,24 +262,23 @@ def _row_orbit(q: QuotientGroup) -> tuple[list[Key], list[int]]:
     Schreier generators t g t'^-1, one for each t in `reps` and generator
     g such that t g has the row of a t' found before.
 
-    Projective: the actions return `_signed` keys, so the walk is over
+    Projective: `step` returns `_signed` keys, so the walk is over
     +-rows, and each rep is the one of +-t with the smaller row (S^2 = -I
     is in Q, so both are).  Each (1 0; u 1) t keeps that row, so its key is
     already `_signed`: a row equal to its negation has 2a = 2b = 0, and for
     a unimodular (a, b) that means 2 = 0, where every key is its own
     negation.
     """
-    mul, r = q._mul, ring_tables(q.modulus)
-    red, wide, neg = r.red, r.wide, r.neg
+    mul, r, step = q._mul, ring_tables(q.modulus), q.step
+    red, wide, neg, size = r.red, r.wide, r.neg, q.modulus.ring_size
     identity = q.identity
     one, zero = identity[:2]
     reps = [identity]
-    by_row = {(one, zero): identity}
+    by_row = {one * size + zero: identity}  # keyed by the row (a, b)
     gens = set()
     for t in reps:  # grows while it is walked: breadth first
-        for act in q.actions:
-            y = act(t)
-            rep = by_row.setdefault(y[:2], y)
+        for y in step(t):
+            rep = by_row.setdefault(y[0] * size + y[1], y)
             if rep is y:
                 reps.append(y)
             else:  # y (a b; c' d')^-1 = (1 0; u 1) with u = c d' - d c'

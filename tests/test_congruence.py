@@ -31,6 +31,7 @@ from hecke5.quotients import (
 from hecke5.hecke_matrices import eval_word
 
 from test_farey import EXAMPLES
+from test_quotients import right_actions
 
 
 def hfs_words(name):
@@ -352,7 +353,7 @@ def tuple_conflicts(t, d: Modulus):
     under the element cap read at call time."""
     q = QuotientGroup(d, True, congruence.DEFAULT_ELEMENT_CAP)
     cap = q.element_cap
-    actions = list(zip(q.actions, (t.perm_s, t.perm_t)))
+    actions = list(zip(right_actions(q), (t.perm_s, t.perm_t)))
     label = {q.identity: 0}
     order = [q.identity]
     for x in order:  # grows while it is walked
@@ -395,7 +396,7 @@ def right_coset_table(q, h):
     coset(q.identity)
     perms = ([], [])
     for x in reps:  # grows while it is walked
-        for act, perm in zip(q.actions, perms):
+        for act, perm in zip(right_actions(q), perms):
             perm.append(coset(act(x)))
     return CosetTable(tuple(perms[0]), tuple(perms[1]))
 

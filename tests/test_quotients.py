@@ -8,13 +8,13 @@ import struct
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hecke5.closure import DEFAULT_ELEMENT_CAP, generated_closure
 from hecke5.golden_ring import GoldenInt, Modulus, RAMIFIED_PRIME, ring_tables
 from hecke5.hecke_matrices import (
-    delta_m_words, elementary_generators, eval_word, eval_word_homogeneous,
-    parse_word, word,
+    S_MAT, T_MAT, delta_m_words, elementary_generators, eval_word,
+    eval_word_homogeneous, parse_word, word,
 )
 from hecke5 import closure, congruence, quotients
 from hecke5.congruence import _ideal_divisors
@@ -29,6 +29,11 @@ from hecke5.quotients import (
 def q(n, projective=True):
     mod = Modulus.rational(n) if isinstance(n, int) else Modulus.ideal(n)
     return build_quotient(mod, projective=projective)
+
+
+def right_actions(group):
+    """Right multiplication by S and by T, each read off `group.step`."""
+    return (lambda x: group.step(x)[0]), (lambda x: group.step(x)[1])
 
 
 class TestOrders:
@@ -140,7 +145,7 @@ def test_build_matches_bfs(mod, projective):
     """Row orbit x stabilizer against the BFS orbit of the identity."""
     group = build_quotient(mod, projective)
     reps, shifts = _row_orbit(group)
-    bfs = generated_closure(group.identity, group.actions)
+    bfs = generated_closure(group.identity, right_actions(group))
     assert group.elements == bfs
     assert {group.gen_S, group.gen_T} <= group.elements
     assert group.order == len(reps) * len(shifts) == len(group.elements)
@@ -577,11 +582,16 @@ words = st.lists(
 
 
 @given(st.sampled_from(KEY_MODULI), st.booleans(), words, words)
+# T (T^-1 S) = S has first entry 0 = -0: `_mult` signs it by its later entries
+@example(Modulus.ideal(RAMIFIED_PRIME), True, word([("T", 1)]),
+         word([("T", -1), ("S", 1)]))
 def test_mult_matches_matrix_product(mod, projective, u, v):
     amb = build_quotient(mod, projective=projective)
     g, h = eval_word_homogeneous(u), eval_word_homogeneous(v)
     assert amb.mult(amb.key_of(g), amb.key_of(h)) == amb.key_of(g * h)
     assert amb.mult(amb.key_of(g), amb.inv_key(amb.key_of(g))) == amb.identity
+    assert amb.step(amb.key_of(g)) == (amb.key_of(g * S_MAT),
+                                       amb.key_of(g * T_MAT))
 
 
 @pytest.mark.parametrize("mod", [Modulus.rational(6), Modulus.rational(8),
