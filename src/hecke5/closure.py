@@ -1,13 +1,14 @@
 """Closures over a finite group given by hashable keys.
 
 Both the Hecke-quotient and the modular-oracle backends drive the same
-routines: `subgroup` and `normal_closure` build a subgroup one generator at
-a time by Dimino's algorithm.  A backend provides `mult`, an identity key,
-and (for normal closures) the designated conjugating generators with their
-inverses.  `generated_closure`, the breadth-first orbit of the identity
-under right actions, is a test oracle only: the tests check the Hecke
-quotients' row orbit x stabilizer build and the modular oracle's order
-formula against it.
+routine: `normal_closure` builds a subgroup one generator at a time by
+Dimino's algorithm.  A backend provides `mult`, an identity key, and (for
+a normal closure) the designated conjugating generators with their
+inverses; with none, the result is the subgroup the seeds generate.
+`generated_closure`, the breadth-first orbit of the identity under right
+actions, is a test oracle only: the tests check the Hecke quotients' row
+orbit x stabilizer build and the modular oracle's order formula against
+it.
 """
 
 from __future__ import annotations
@@ -52,27 +53,15 @@ def generated_closure(identity: Key, actions: Iterable[Action],
     return seen
 
 
-def subgroup(identity: Key, generators: Iterable[Key], mult: Mult,
-             cap: int = DEFAULT_ELEMENT_CAP) -> set[Key]:
-    """The subgroup generated by `generators`, by Dimino's algorithm."""
-    return _dimino(identity, generators, mult, (), cap)
-
-
 def normal_closure(identity: Key, seeds: Iterable[Key], mult: Mult,
-                   conjugators: Iterable[tuple[Key, Key]],
+                   conjugators: Iterable[tuple[Key, Key]] = (),
                    cap: int = DEFAULT_ELEMENT_CAP) -> set[Key]:
-    """Smallest subgroup containing `seeds` closed under the given conjugations.
-
-    `conjugators` is a list of (g, g^-1) pairs; the result is the normal
-    closure of the seeds when the conjugators generate the ambient group.
-    """
-    return _dimino(identity, seeds, mult, conjugators, cap)
-
-
-def _dimino(identity: Key, seeds: Iterable[Key], mult: Mult,
-            conjugators: Iterable[tuple[Key, Key]], cap: int) -> set[Key]:
-    """Dimino's algorithm (Butler, Fundamental Algorithms for Permutation
-    Groups, LNCS 559).
+    """Smallest subgroup containing `seeds` closed under the given
+    conjugations, by Dimino's algorithm (Butler, Fundamental Algorithms for
+    Permutation Groups, LNCS 559).  `conjugators` is a list of (g, g^-1)
+    pairs: the result is the normal closure of the seeds when the g
+    generate the ambient group, and the subgroup the seeds generate when
+    there are none.
 
     The members are kept as right cosets H*r of the subgroup H generated so
     far, one block per representative r.  A new generator g outside H adds

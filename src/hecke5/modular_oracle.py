@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .closure import DEFAULT_ELEMENT_CAP, UndecidedError
-from .closure import normal_closure as _normal_closure, subgroup
+from .closure import normal_closure as _normal_closure
 from .golden_ring import factor
 
 Key = tuple[int, int, int, int]
@@ -75,7 +75,7 @@ def build_sl2_quotient(n: int) -> IntQuotient:
 
 
 def _subgroup_closure(q: IntQuotient, seeds) -> frozenset[Key]:
-    return subgroup(q.identity, seeds, q.mult)
+    return _normal_closure(q.identity, seeds, q.mult)
 
 
 def _closure_normal(q: IntQuotient, seeds) -> frozenset[Key]:

@@ -27,9 +27,7 @@ from math import gcd
 from pathlib import Path
 from typing import AbstractSet, Callable
 
-from .closure import (
-    DEFAULT_ELEMENT_CAP, UndecidedError, element_order, subgroup,
-)
+from .closure import DEFAULT_ELEMENT_CAP, UndecidedError, element_order
 from .closure import normal_closure as _normal_closure_engine
 from .golden_ring import (
     GoldenInt, Modulus, classify_rational_prime, factor, ring_tables,
@@ -42,9 +40,9 @@ Key = tuple[int, int, int, int]
 def _signed(neg: list[int], t: Key) -> Key:
     """The smaller of t and -t: the key of a matrix taken up to sign.
 
-    `QuotientGroup.step` and `_mult` apply this rule in place: they negate
-    a key iff its first entry's negation is smaller, or equal and the rest
-    negated is smaller."""
+    `_mult` applies this rule in place: it negates a key iff its first
+    entry's negation is smaller, or equal and the rest negated is smaller;
+    `QuotientGroup.step` relies on its input obeying it."""
     n = (neg[t[0]], neg[t[1]], neg[t[2]], neg[t[3]])
     return n if n < t else t
 
@@ -85,7 +83,11 @@ class QuotientGroup:
     @cached_property
     def step(self) -> Callable[[Key], tuple[Key, Key]]:
         """x -> (x S, x T), with S = (0 1; -1 0) and T = (1 L; 0 1): both
-        right multiplications of x in one call."""
+        right multiplications of x in one call.  x must be a key of this
+        quotient as `key_of`, `step` or `mult` return it, so a <= -a when
+        projective.  Then x S = (-b a; -d c) is signed by -b <= b, as -b = b
+        with a = -a only where 2 = 0, and x T, which keeps a, is compared
+        with its negation only where a = -a."""
         r, projective = ring_tables(self.modulus), self.projective
         red, wide, lam, neg = r.red, r.wide, r.lam, r.neg
 
@@ -93,19 +95,13 @@ class QuotientGroup:
             a, b, c, d = x
             # (a b; c d) S = (-b a; -d c) and T = (a aL+b; c cL+d)
             nb, bt, dt = neg[b], red[lam[a] + wide[b]], red[lam[c] + wide[d]]
+            t = (a, bt, c, dt)
             if not projective:
-                return (nb, a, neg[d], c), (a, bt, c, dt)
-            if nb < b:  # signed by the first entries, else as a whole
-                s = (nb, a, neg[d], c)
-            elif nb > b:
-                s = (b, neg[a], d, neg[c])
-            else:
-                s = min((nb, a, neg[d], c), (b, neg[a], d, neg[c]))
-            na = neg[a]
-            if na > a:
-                return s, (a, bt, c, dt)
-            t = (na, neg[bt], neg[c], neg[dt])
-            return s, (t if na < a else min((a, bt, c, dt), t))
+                return (nb, a, neg[d], c), t
+            s = (nb, a, neg[d], c) if nb <= b else (b, neg[a], d, neg[c])
+            if neg[a] != a:
+                return s, t
+            return s, min(t, (a, neg[bt], neg[c], neg[dt]))
 
         return step
 
@@ -346,7 +342,8 @@ def _load_quotient(path: Path, q: QuotientGroup) -> None:
 def subgroup_closure(q: QuotientGroup, seeds) -> SubgroupHandle:
     """Smallest subgroup of q containing the seeds."""
     keys = tuple(_as_key(q, s) for s in seeds)
-    members = subgroup(q.identity, keys, q.mult, q.element_cap)
+    members = _normal_closure_engine(q.identity, keys, q.mult, (),
+                                     q.element_cap)
     return SubgroupHandle(q, frozenset(members), keys)
 
 
@@ -408,13 +405,13 @@ class _KernelMembers(Set):
 
 def _kernel(q: QuotientGroup, m: Modulus, size: int) -> Iterator[Key]:
     """The `size` (1 0; u 1) t = (a b; ua+c ub+d) of `_row_orbit` that are
-    (+-)I mod m: t's row is (+-)(1, 0) and ua+c = 0, so ub+d = a by det = 1.
-    Undecided at the call, before any is built, when `size` or `mul`
-    (`QuotientGroup._mul`, read before the orbit, which may come from a
-    file) passes the element cap.  Each keeps t's row, so its key is
-    already `_signed`, and no two are equal.  The orbit is independent of
-    `quotient_order`, which gives `size`: a walk that yields a different
-    count ends in an error."""
+    (+-)I mod m: t's row is (+-)(1, 0) and ua+c = 0, so u = -c/a with
+    a = +-1, and ub+d = a by det = 1.  Undecided at the call, before any is
+    built, when `size` or `mul` (`QuotientGroup._mul`, read before the
+    orbit, which may come from a file) passes the element cap.  Each keeps
+    t's row, so its key is already `_signed`, and no two are equal.  The
+    orbit is independent of `quotient_order`, which gives `size`: a walk
+    that yields a different count ends in an error."""
     if size > q.element_cap:
         raise UndecidedError(f"the kernel of Q({q.modulus}) mod {m} has "
                              f"{size} elements, above the element cap of "
@@ -431,7 +428,7 @@ def _kernel(q: QuotientGroup, m: Modulus, size: int) -> Iterator[Key]:
         count = 0
         for a, b, c, d in reps:
             if down[a] in ones and down[b] == zero:
-                want = small.neg[small.red[small.mul[down[c]][down[a]]]]  # u = -c/a
+                want = small.neg[down[c]] if down[a] == one else down[c]
                 for u in shifts:
                     if down[u] == want:
                         count += 1

@@ -5,7 +5,7 @@ most N (default 400), both projectivities.
 
 Every ideal divides (its norm), so the divisors of (n), n <= N, hold them
 all.  Tier-1 checks the 36 that divide some n <= 31; at N = 400 this walks
-172 ideals, about 40 s on one core.  Exits 1 if any order disagrees.
+172 ideals, about 13 s on one core.  Exits 1 if any order disagrees.
 """
 
 import sys

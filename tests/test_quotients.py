@@ -273,6 +273,17 @@ def test_kernels_from_the_orbit_match_the_filter(mod, divisors, projective):
         assert k.order * build_quotient(d, projective).order == group.order
 
 
+@pytest.mark.parametrize("n,d", [(16, 8), (9, 3), (12, 6)])
+def test_a_kernel_builds_no_product_table_of_its_divisor(n, d):
+    """A kernel member's u is -c/a with a = +-1 mod d: no product mod d is
+    needed, so the ring_size**2 `mul` of the divisor is never built."""
+    ring_tables.cache_clear()
+    m = Modulus.rational(d)
+    k = kernel_subgroup(build_quotient(Modulus.rational(n)), m)
+    assert len(frozenset(k.members)) == k.order
+    assert "mul" not in vars(ring_tables(m))
+
+
 def test_kernel_above_the_cap_is_undecided_before_it_is_built():
     """|Q(19)| is about 23M: the kernel mod 19 is trivial, and the kernel
     mod 1, all of Q(19), is known by its order and refused, from the
