@@ -104,13 +104,3 @@ def _add_coset(members: list, seen: set, block: list, r: Key, mult: Mult,
         members.append(y)
         seen.add(y)
 
-
-def element_order(x: Key, identity: Key, mult: Mult,
-                  cap: int = DEFAULT_ELEMENT_CAP) -> int:
-    n, y = 1, x
-    while y != identity:
-        y = mult(y, x)
-        n += 1
-        if n > cap:
-            raise _cap_reached(cap)
-    return n

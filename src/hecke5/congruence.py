@@ -301,16 +301,17 @@ class _Graph:
     2i + g leads from element i by generator g (0 for S, 1 for T) to
     element `succ[2i + g]`.  The walk steps with `QuotientGroup.step`,
     whose constructor refuses tables above the element cap before any is
-    built.  `step` gives element i's S and T images in one call at edge
-    2i; the T image is held until edge 2i + 1, so it is numbered, and the
-    element cap refuses it, at its own edge, as walks one edge at a time
-    expect.  Once every element's two edges are built the keys are dropped.
+    built.  Edge 2i + g takes image g of `step(element i)`: the T image is
+    recomputed at edge 2i + 1, not held from edge 2i, so it is numbered,
+    and the element cap refuses it, at its own edge, as walks one edge at a
+    time expect.  Once every element's two edges are built the keys are
+    dropped.
     """
 
     def __init__(self, d: Modulus, cap: int):
         q = QuotientGroup(d, True, cap)
         self.succ = array("I")
-        self._cap, self._step, self._held = cap, q.step, None
+        self._cap, self._step = cap, q.step
         self._keys, self._elements = {q.identity: 0}, [q.identity]
 
     def grow(self, e: int) -> int:
@@ -320,10 +321,7 @@ class _Graph:
         succ, keys, elements = self.succ, self._keys, self._elements
         if e < len(succ):
             return len(succ)
-        if e & 1:
-            y = self._held
-        else:
-            y, self._held = self._step(elements[e >> 1])
+        y = self._step(elements[e >> 1])[e & 1]
         j = keys.get(y)
         if j is None:
             j = len(elements)
@@ -334,7 +332,7 @@ class _Graph:
             elements.append(y)
         succ.append(j)
         if len(succ) == 2 * len(elements):  # the walk is complete
-            self._keys = self._elements = self._step = self._held = None
+            self._keys = self._elements = self._step = None
         return len(succ)
 
 

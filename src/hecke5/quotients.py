@@ -20,18 +20,15 @@ from array import array
 from collections import Counter
 from collections.abc import Iterator, Set
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd
 from pathlib import Path
 from typing import AbstractSet, Callable
 
-from .closure import DEFAULT_ELEMENT_CAP, UndecidedError, element_order
+from .closure import DEFAULT_ELEMENT_CAP, UndecidedError
 from .closure import normal_closure as _normal_closure_engine
-from .golden_ring import (
-    GoldenInt, Modulus, classify_rational_prime, factor, ring_tables,
-)
+from .golden_ring import Modulus, classify_rational_prime, factor, ring_tables
 from .hecke_matrices import GMat, ProjMat, S_MAT, T_MAT
 
 Key = tuple[int, int, int, int]
@@ -172,9 +169,6 @@ class QuotientGroup:
         neg = ring_tables(self.modulus).neg
         t = (x[3], neg[x[1]], neg[x[2]], x[0])
         return _signed(neg, t) if self.projective else t
-
-    def element_order(self, x: Key) -> int:
-        return element_order(x, self.identity, self._mult, self.element_cap)
 
     def order_histogram(self) -> Counter:
         """Element orders by power walks over cyclic subgroups.
@@ -442,7 +436,10 @@ def _kernel(q: QuotientGroup, m: Modulus, size: int) -> Iterator[Key]:
 
 
 def check_elementary_abelian(h: SubgroupHandle, p: int) -> bool:
-    """True iff h is abelian with every non-identity element of order p."""
+    """True iff h is abelian with every non-identity element of order p.
+
+    Past the order test p is the one prime dividing |h|, so a generator
+    has order 1 or p iff its p-th power, p - 1 products, is the identity."""
     if h.order == 1:
         return True
     if set(factor(h.order)) != {p}:
@@ -450,7 +447,10 @@ def check_elementary_abelian(h: SubgroupHandle, p: int) -> bool:
     q = h.parent
     gens = h.seeds if h.seeds else tuple(h.members)
     for g in gens:
-        if q.element_order(g) not in (1, p):
+        y = g
+        for _ in range(p - 1):
+            y = q.mult(y, g)
+        if y != q.identity:
             return False
     for i, g in enumerate(gens):
         for k in gens[i + 1:]:
@@ -463,27 +463,19 @@ def check_elementary_abelian(h: SubgroupHandle, p: int) -> bool:
 # Index formula and its enumeration oracle.
 
 
-def _prime_ideal_divisors(m: Modulus) -> list[tuple[GoldenInt, int]]:
-    """Distinct prime ideal divisors of m with their residue field sizes N(P)."""
-    out: list[tuple[GoldenInt, int]] = []
-    gen = m.generator
-    for p in factor(m.d1):  # d1: the least positive integer in m
-        cls = classify_rational_prime(p)
-        for f in cls.factors:
-            if gen.divisible_by(f):
-                out.append((f, abs(f.norm())))
-    return out
-
-
 def sl_index_formula(a: Modulus) -> int:
-    """N(A)^3 prod over prime divisors P of A of (1 - N(P)^-2), exactly."""
-    n = a.ring_size
-    value = Fraction(n) ** 3
-    for _, np in _prime_ideal_divisors(a):
-        value *= 1 - Fraction(1, np * np)
-    if value.denominator != 1:
-        raise ArithmeticError(f"index formula for {a} is not integral")
-    return value.numerator
+    """N(A)^3 prod over prime divisors P of A of (1 - N(P)^-2), in integers.
+
+    Every division is exact.  The P over a rational prime p have norms
+    p^f and each divides A, so p^(3 sum f) divides N(A)^3, and the
+    divisions take out p^(2 sum f)."""
+    value = a.ring_size ** 3
+    for p in factor(a.d1):  # d1: the least positive integer in A
+        for f in classify_rational_prime(p).factors:
+            if a.generator.divisible_by(f):
+                np = abs(f.norm())
+                value = value // (np * np) * (np * np - 1)
+    return value
 
 
 def quotient_order(modulus: Modulus, projective: bool = True) -> int:

@@ -27,8 +27,7 @@ def low_element_cap(monkeypatch):
     second.  The residue tables of mod 7 (7 * 49 entries, and 2 * 49**2 =
     4802 with `mul` and the row orbit) still fit under it."""
     cap = 5_000
-    for fn in (closure.generated_closure, closure.element_order):
-        monkeypatch.setattr(fn, "__defaults__", (cap,))
+    monkeypatch.setattr(closure.generated_closure, "__defaults__", (cap,))
     monkeypatch.setattr(closure.normal_closure, "__defaults__", ((), cap))
     # the default is bound when the function is defined: patch it as well
     monkeypatch.setattr(quotients.build_quotient, "__defaults__",

@@ -172,9 +172,14 @@ def test_element_cap_boundary(mod, projective):
 
 
 def histogram_by_element(group):
-    """The histogram oracle: each element's order on its own, which costs
-    the sum of the orders in multiplications."""
-    return Counter(map(group.element_order, group.elements))
+    """The histogram oracle: each element's order on its own, by powers
+    through `group.mult`, which costs the sum of the orders in products."""
+    def order(x):
+        n, y = 1, x
+        while y != group.identity:
+            y, n = group.mult(y, x), n + 1
+        return n
+    return Counter(map(order, group.elements))
 
 
 @pytest.mark.parametrize("projective", [True, False])
@@ -235,6 +240,26 @@ class TestKernelLadder:
     def test_kernel_requires_divisor(self):
         with pytest.raises(ValueError):
             kernel_subgroup(q(6), Modulus.rational(4))
+
+
+def test_a_cyclic_group_of_order_4_is_not_elementary_abelian():
+    """<T> in Q(4) is a 2-group, but T^2 is not the identity."""
+    group = q(4)
+    h = subgroup_closure(group, [group.gen_T])
+    assert h.order == 4
+    assert not check_elementary_abelian(h, 2)
+
+
+def test_a_dihedral_group_of_order_8_is_not_elementary_abelian():
+    """<T^2, S> in Q(4): both generators have order 2, but they do not
+    commute."""
+    group = q(4)
+    t2, s = group.mult(group.gen_T, group.gen_T), group.gen_S
+    h = subgroup_closure(group, [t2, s])
+    assert h.order == 8
+    assert group.mult(t2, t2) == group.mult(s, s) == group.identity
+    assert group.mult(t2, s) != group.mult(s, t2)
+    assert not check_elementary_abelian(h, 2)
 
 
 def kernel_by_filter(group, m):
@@ -358,6 +383,18 @@ def test_kernel_members_compare_as_a_frozenset(n, projective, data):
         # a new handle for each operation: nothing enumerated beforehand
         assert op(kernel_subgroup(group, d).members, other) == op(as_set, other)
         assert op(other, kernel_subgroup(group, d).members) == op(other, as_set)
+
+
+def test_kernels_combine_as_frozensets():
+    """&, | and - of two kernels of Q(8), the one mod 4 inside the one mod
+    2: `Set` builds each result through `_from_iterable`."""
+    group = q(8)
+    k4 = kernel_subgroup(group, Modulus.rational(4)).members
+    k2 = kernel_subgroup(group, Modulus.rational(2)).members
+    assert k4 & k2 == frozenset(k4)
+    assert k4 | k2 == frozenset(k2)
+    assert len(k2 - k4) == len(k2) - len(k4)
+    assert {type(k4 & k2), type(k4 | k2), type(k2 - k4)} == {frozenset}
 
 
 class TestNormalClosures:
