@@ -2,6 +2,7 @@
 
 Subcommands: quotient, closure, verify, congruence, census.
 Exit codes: 0 success/decided, 1 input error, 2 undecided (a cap was hit).
+A reader that closes stdout early (`| head`) ends the command with exit 0.
 Structured output (--format json) is newline-delimited JSON records headed
 by a version record, and round-trips through the report parsers.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -233,6 +235,10 @@ def main(argv=None) -> int:
     except UndecidedError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
+    except BrokenPipeError:  # the reader wants no more output
+        # point stdout at devnull, so the flush at exit writes nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ValueError, OSError) as exc:  # NotInG5Error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -2,7 +2,7 @@
 
 Elements are stored as integer pairs (a, b) meaning a + b*L with L^2 = L + 1.
 Everything here is pure integer arithmetic; no floating point is used anywhere,
-including the real-embedding comparisons needed by the matrix reduction code.
+including the real-embedding rounding that the matrix reduction needs.
 """
 
 from __future__ import annotations
@@ -122,54 +122,21 @@ def parse_golden(text: str) -> GoldenInt:
 
 
 # ---------------------------------------------------------------------------
-# Real-embedding comparisons (L -> (1+sqrt5)/2), exact integer arithmetic.
-
-
-def _quad_sign(A: int, B: int) -> int:
-    """Sign of A + B*sqrt(5)."""
-    if A >= 0 and B >= 0:
-        return 1 if (A or B) else 0
-    if A <= 0 and B <= 0:
-        return -1
-    # opposite signs: compare A^2 against 5 B^2
-    if A > 0:
-        return 1 if A * A > 5 * B * B else -1
-    return 1 if 5 * B * B > A * A else -1
-
-
-def emb_sign(x: GoldenInt) -> int:
-    """Sign of x under the embedding L -> (1+sqrt5)/2."""
-    return _quad_sign(2 * x.a + x.b, x.b)
-
-
-def emb_abs_less(x: GoldenInt, y: GoldenInt) -> bool:
-    """|emb(x)| < |emb(y)|, decided exactly via sign of emb(y^2 - x^2)."""
-    return emb_sign(y * y - x * x) > 0
-
-
-def _floor_quad(A: int, B: int, C: int) -> int:
-    """floor((A + B*sqrt5) / C) for integers, C != 0."""
-    if C < 0:
-        A, B, C = -A, -B, -C
-    f = isqrt(5 * B * B) if B >= 0 else -isqrt(5 * B * B) - 1
-    q = (A + f) // C
-    # f is only a floor of B*sqrt5; fix up by exact sign checks
-    while _quad_sign(A - (q + 1) * C, B) >= 0:
-        q += 1
-    while _quad_sign(A - q * C, B) < 0:
-        q -= 1
-    return q
+# Real-embedding rounding (L -> (1+sqrt5)/2), exact integer arithmetic.
 
 
 def emb_ratio_round(x: GoldenInt, y: GoldenInt) -> int:
-    """Nearest integer to emb(x)/emb(y), exact; y nonzero."""
+    """Nearest integer to emb(x)/emb(y), halves rounded up, exact; y nonzero."""
     n = y.norm()
     z = x * y.conj()  # emb(x)/emb(y) = emb(z)/n
     A, B = 2 * z.a + z.b, z.b
     if n < 0:
         A, B, n = -A, -B, -n
-    # round(t) = floor(t + 1/2) with t = (A + B sqrt5) / (2n)
-    return _floor_quad(A + n, B, 2 * n)
+    # round(t) = floor((A + n + B sqrt5) / 2n) with t = (A + B sqrt5) / 2n,
+    # and floor((N + b) / C) = (N + floor(b)) // C for integers N, C > 0;
+    # floor(B sqrt5) is exact, as 5 B^2 is a square only at B = 0
+    f = isqrt(5 * B * B) if B >= 0 else -isqrt(5 * B * B) - 1
+    return (A + n + f) // (2 * n)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@ S = [[0, 1], [-1, 0]] and T = [[1, L], [0, 1]] generate the homogeneous group;
 identifying a matrix with its negative gives the projective group, whose
 elements are represented here by sign-canonical `ProjMat` values.
 
-`decompose` solves the word problem by continued-fraction reduction in the
-real embedding: repeatedly split off T^k S until the matrix is upper
-triangular, and demand strict decrease of |emb(e21)| at every step.  Matrices
-for which no candidate quotient makes progress, or whose terminal triangular
-form is not +-T^j, are rejected as lying outside the group.
+`decompose` solves the word problem by the nearest-L continued fraction
+(Rosen, 1954) in the real embedding: repeatedly split off T^k S, with k the
+nearest integer to emb(e11) / emb(L e21), until the matrix is upper
+triangular.  The new e21 is e11 - kL e21, and |t - k| <= 1/2 for
+t = emb(e11) / emb(L e21), so each step multiplies |emb(e21)| by at most
+L/2 < 1.  A matrix is rejected as lying outside the group when its
+terminal triangular form is not +-T^j, or when the reduction passes its
+step bound.
 """
 
 from __future__ import annotations
@@ -16,10 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .golden_ring import (
-    GoldenInt, LAMBDA, ONE, ZERO,
-    emb_abs_less, emb_ratio_round, factor,
-)
+from .golden_ring import GoldenInt, LAMBDA, ONE, ZERO, emb_ratio_round, factor
 
 
 class NotInG5Error(ValueError):
@@ -205,23 +205,14 @@ def decompose(m: GMat | ProjMat) -> Word:
     """Word in S, T evaluating to m projectively; NotInG5Error if impossible."""
     a = m.rep if isinstance(m, ProjMat) else m
     letters: list[Letter] = []
-    lam = LAMBDA
     for _ in range(_MAX_REDUCTION_STEPS):
         if not a.e21:
             break
-        pivot = lam * a.e21
-        k0 = emb_ratio_round(a.e11, pivot)
-        best_k, best_r = None, None
-        for k in (k0, k0 - 1, k0 + 1):
-            r = a.e11 - GoldenInt(0, k) * a.e21
-            if best_r is None or emb_abs_less(r, best_r):
-                best_k, best_r = k, r
-        if not emb_abs_less(best_r, a.e21):
-            raise NotInG5Error(
-                f"no quotient reduces |e21| at {a} (candidates around {k0})")
-        # a <- S^-1 T^-k a ; record T^k S on the word
-        a = S_MAT.inv() * translation(GoldenInt(0, -best_k)) * a
-        letters += [("T", best_k), ("S", 1)]
+        k = emb_ratio_round(a.e11, LAMBDA * a.e21)
+        # a <- S^-1 T^-k a, rows (-row 2, row 1 - kL row 2); record T^k S
+        kl = GoldenInt(0, k)
+        a = GMat(-a.e21, -a.e22, a.e11 - kl * a.e21, a.e12 - kl * a.e22)
+        letters += [("T", k), ("S", 1)]
     else:
         raise NotInG5Error("reduction did not terminate")
     if a.e11 not in (ONE, -ONE) or a.e11 != a.e22:

@@ -609,3 +609,20 @@ def test_start_up_imports_no_sympy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+def test_a_closed_stdout_ends_quietly():
+    """`census --index 7 | head -1`: the reader takes one row and closes the
+    pipe, and the next row's write fails.  That ends the command with exit
+    0 and nothing on stderr, not as an input error."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hecke5.cli", "census", "--index", "7"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith("#0: index 7")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, "")

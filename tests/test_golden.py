@@ -6,8 +6,8 @@ from sympy import isprime
 
 from hecke5.golden_ring import (
     GoldenInt, LAMBDA, ONE, ZERO, Modulus, RAMIFIED_PRIME, _split_factor,
-    canonical_associate, classify_rational_prime, emb_abs_less, factor,
-    emb_ratio_round, emb_sign, is_prime, parse_golden, ring_tables,
+    canonical_associate, classify_rational_prime, emb_ratio_round, factor,
+    is_prime, parse_golden, ring_tables,
 )
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
@@ -64,24 +64,6 @@ def test_parse_rejects_garbage():
             parse_golden(bad)
 
 
-@given(elems)
-def test_embedding_sign_consistent(x):
-    import math
-    lam = (1 + math.sqrt(5)) / 2
-    approx = x.a + x.b * lam
-    if abs(approx) > 1e-6:  # avoid float noise near zero
-        assert emb_sign(x) == (1 if approx > 0 else -1)
-
-
-@given(small, small)
-def test_embedding_abs_order(x, y):
-    import math
-    lam = (1 + math.sqrt(5)) / 2
-    ax, ay = abs(x.a + x.b * lam), abs(y.a + y.b * lam)
-    if abs(ax - ay) > 1e-6:
-        assert emb_abs_less(x, y) == (ax < ay)
-
-
 @given(small, small.filter(lambda y: bool(y)))
 def test_embedding_ratio_round(x, y):
     import math
@@ -89,6 +71,43 @@ def test_embedding_ratio_round(x, y):
     ratio = (x.a + x.b * lam) / (y.a + y.b * lam)
     k = emb_ratio_round(x, y)
     assert abs(k - ratio) <= 0.5 + 1e-9
+
+
+def _sign5(p: int, q: int) -> int:
+    """Sign of p + q*sqrt5, by comparing p^2 with 5 q^2 where signs differ."""
+    if p >= 0 and q >= 0:
+        return int(p > 0 or q > 0)
+    if p <= 0 and q <= 0:
+        return -1
+    return (1 if p > 0 else -1) if p * p > 5 * q * q else (1 if q > 0 else -1)
+
+
+huge = st.builds(GoldenInt, st.integers(-10**30, 10**30),
+                 st.integers(-10**30, 10**30))
+
+
+@given(huge, huge.filter(bool))
+@example(GoldenInt(3, 0), GoldenInt(2, 0))  # 3/2 rounds up to 2
+@example(GoldenInt(-3, 0), GoldenInt(2, 0))  # -3/2 rounds up to -1
+@example(GoldenInt(0, 3), GoldenInt(0, 2))  # norm -4: 3/2 rounds to 2
+@example(GoldenInt(0, -3), GoldenInt(0, 2))  # norm -4: -3/2 rounds to -1
+@example(GoldenInt(0, 5), LAMBDA)  # norm -1, exact ratio 5
+@example(GoldenInt(2, 0), LAMBDA)  # norm -1: 2/L = 1.236... rounds to 1
+@example(GoldenInt(0, -1), ONE)  # B < 0: -L = -1.618... rounds to -2
+@example(GoldenInt(7, 11), GoldenInt(-2, 5))  # norm -31
+def test_embedding_ratio_round_exact(x, y):
+    """k = round(t), halves up, for t = emb(x)/emb(y): (2k - 1) emb(y) <=
+    2 emb(x) < (2k + 1) emb(y) when emb(y) > 0.  With 2 emb(u) =
+    (2a + b) + b sqrt5, each side is p + q sqrt5, decided in integers."""
+    k = emb_ratio_round(x, y)
+    sy = _sign5(2 * y.a + y.b, y.b)
+    X = (sy * (2 * x.a + x.b), sy * x.b)  # 2 emb(x), signed as emb(y) > 0
+    Y = (sy * (2 * y.a + y.b), sy * y.b)
+
+    def at_least(j):  # 2 emb(x) >= j emb(y)
+        return _sign5(2 * X[0] - j * Y[0], 2 * X[1] - j * Y[1]) >= 0
+
+    assert at_least(2 * k - 1) and not at_least(2 * k + 1)
 
 
 def test_units():

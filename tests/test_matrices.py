@@ -72,8 +72,33 @@ def test_decompose_roundtrip_bulk():
 
 def test_non_members_rejected():
     stray = GMat(ONE, ONE, ZERO, ONE)  # integer translation: not a word in S, T
-    with pytest.raises(NotInG5Error):
+    with pytest.raises(NotInG5Error, match="^terminal translation 1 "):
         decompose(stray)
+
+
+def _lower(x: GoldenInt) -> GMat:
+    return GMat(ONE, ZERO, x, ONE)
+
+
+# products of elementary matrices over Z[L] with integer translations in them:
+# U(x) = translation(x), L(x) = _lower(x)
+@pytest.mark.parametrize("m", [
+    _lower(ONE),
+    translation(GoldenInt(1, 1)),
+    T_MAT ** 2 * translation(GoldenInt(3, 0)) * S_MAT,
+    _lower(GoldenInt(2, 0)) * T_MAT * _lower(-ONE),
+    translation(ONE) * _lower(ONE) * translation(-ONE),
+    translation(ONE) * S_MAT * translation(ONE),
+    _lower(GoldenInt(2, 1)) * translation(GoldenInt(-1, 1)),
+    S_MAT * translation(GoldenInt(5, 0)) * S_MAT * T_MAT ** 3
+    * translation(GoldenInt(-2, 0)),
+], ids=["L(1)", "U(1+L)", "T^2.U(3).S", "L(2).T.L(-1)", "U(1).L(1).U(-1)",
+        "U(1).S.U(1)", "L(2+L).U(-1+L)", "S.U(5).S.T^3.U(-2)"])
+def test_non_members_rejected_at_the_terminal_form(m):
+    """Each step multiplies m on the left by a member, so m is a member iff
+    the terminal triangular matrix is, that is, iff it is +-T^j."""
+    with pytest.raises(NotInG5Error, match="^terminal "):
+        decompose(m)
 
 
 def test_translation():
