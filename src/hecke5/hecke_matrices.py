@@ -2,12 +2,16 @@
 
 S = [[0, 1], [-1, 0]] and T = [[1, L], [0, 1]] generate the homogeneous group;
 identifying a matrix with its negative gives the projective group, whose
-elements are represented here by sign-canonical `ProjMat` values.
+elements are represented here by sign-canonical `ProjMat` values.  A
+`ProjMat` only names an element; products are taken on `GMat`s, as in
+`ProjMat.of(a.rep * b.rep)`.
 
-`decompose` solves the word problem by the nearest-L continued fraction
-(Rosen, 1954) in the real embedding: repeatedly split off T^k S, with k the
-nearest integer to emb(e11) / emb(L e21), until the matrix is upper
-triangular.  The new e21 is e11 - kL e21, and |t - k| <= 1/2 for
+`eval_word_homogeneous` applies the letters to the four entries as column
+steps and builds one `GMat` at the end.  `decompose` solves the word
+problem by the nearest-L continued fraction (Rosen, 1954) in the real
+embedding: repeatedly split off T^k S, with k the nearest integer to
+emb(e11) / emb(L e21), until the matrix is upper triangular, on the four
+entries alone.  The new e21 is e11 - kL e21, and |t - k| <= 1/2 for
 t = emb(e11) / emb(L e21), so each step multiplies |emb(e21)| by at most
 L/2 < 1.  A matrix is rejected as lying outside the group when its
 terminal triangular form is not +-T^j, or when the reduction passes its
@@ -51,22 +55,8 @@ class GMat:
     def inv(self) -> "GMat":
         return GMat(self.e22, -self.e12, -self.e21, self.e11)
 
-    def trace(self) -> GoldenInt:
-        return self.e11 + self.e22
-
     def entries(self) -> tuple[GoldenInt, GoldenInt, GoldenInt, GoldenInt]:
         return (self.e11, self.e12, self.e21, self.e22)
-
-    def __pow__(self, n: int) -> "GMat":
-        if n < 0:
-            return self.inv() ** (-n)
-        result, base = IDENTITY, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __str__(self) -> str:
         return f"[[{self.e11},{self.e12}],[{self.e21},{self.e22}]]"
@@ -101,23 +91,8 @@ class ProjMat:
                 break
         return ProjMat(m)
 
-    def __mul__(self, other: "ProjMat") -> "ProjMat":
-        return ProjMat.of(self.rep * other.rep)
-
-    def inv(self) -> "ProjMat":
-        return ProjMat.of(self.rep.inv())
-
-    def __pow__(self, n: int) -> "ProjMat":
-        return ProjMat.of(self.rep ** n)
-
-    def is_identity(self) -> bool:
-        return self.rep == IDENTITY
-
     def __str__(self) -> str:
         return str(self.rep)
-
-
-PROJ_IDENTITY = ProjMat.of(IDENTITY)
 
 
 # ---------------------------------------------------------------------------
@@ -166,29 +141,31 @@ def word(letters) -> Word:
     return Word(tuple(out))
 
 
+# letters apart by whitespace, then an optional "1"; not "1?\s*", which tries
+# quadratically many splits of a long blank tail before refusing it
+_WORD = re.compile(r"\s*(?:[ST](?:\^-?\d+)?\s*)*(?:1\s*)?")
 _WORD_TOKEN = re.compile(r"([ST])(?:\^(-?\d+))?")
 
 
 def parse_word(text: str) -> Word:
-    pos, letters = 0, []
-    for m in _WORD_TOKEN.finditer(text):
-        if text[pos:m.start()].strip():
-            raise ValueError(f"malformed word: {text!r}")
-        letters.append((m.group(1), int(m.group(2) or 1)))
-        pos = m.end()
-    if text[pos:].strip() not in ("", "1"):
+    if not _WORD.fullmatch(text):
         raise ValueError(f"malformed word: {text!r}")
-    return word(letters)
+    return word((g, int(e or 1)) for g, e in _WORD_TOKEN.findall(text))
 
 
 def eval_word_homogeneous(w: Word) -> GMat:
-    m = IDENTITY
+    """The product of the letters' matrices, one column step per letter:
+    T^k adds kL times column 1 to column 2, and S^e turns the columns by
+    e mod 4 quarter turns, (a, b, c, d) -> (-b, a, -d, c)."""
+    a, b, c, d = ONE, ZERO, ZERO, ONE
     for gen, exp in w.letters:
         if gen == "T":
-            m = m * translation(GoldenInt(0, exp))
+            kl = GoldenInt(0, exp)
+            b, d = b + kl * a, d + kl * c
         else:
-            m = m * (S_MAT ** (exp % 4))
-    return m
+            for _ in range(exp % 4):
+                a, b, c, d = -b, a, -d, c
+    return GMat(a, b, c, d)
 
 
 def eval_word(w: Word) -> ProjMat:
@@ -203,25 +180,27 @@ _MAX_REDUCTION_STEPS = 10_000
 
 def decompose(m: GMat | ProjMat) -> Word:
     """Word in S, T evaluating to m projectively; NotInG5Error if impossible."""
-    a = m.rep if isinstance(m, ProjMat) else m
+    # the input's GMat checked det = 1, and each step keeps it
+    e11, e12, e21, e22 = (m.rep if isinstance(m, ProjMat) else m).entries()
     letters: list[Letter] = []
     for _ in range(_MAX_REDUCTION_STEPS):
-        if not a.e21:
+        if not e21:
             break
-        k = emb_ratio_round(a.e11, LAMBDA * a.e21)
-        # a <- S^-1 T^-k a, rows (-row 2, row 1 - kL row 2); record T^k S
+        k = emb_ratio_round(e11, LAMBDA * e21)
+        # m <- S^-1 T^-k m, rows (-row 2, row 1 - kL row 2); record T^k S
         kl = GoldenInt(0, k)
-        a = GMat(-a.e21, -a.e22, a.e11 - kl * a.e21, a.e12 - kl * a.e22)
+        e11, e12, e21, e22 = -e21, -e22, e11 - kl * e21, e12 - kl * e22
         letters += [("T", k), ("S", 1)]
     else:
         raise NotInG5Error("reduction did not terminate")
-    if a.e11 not in (ONE, -ONE) or a.e11 != a.e22:
-        raise NotInG5Error(f"terminal triangular matrix {a} has non-trivial unit")
-    sign = 1 if a.e11 == ONE else -1
-    top = a.e12
-    if top.a != 0:
-        raise NotInG5Error(f"terminal translation {top} is not a multiple of L")
-    letters.append(("T", sign * top.b))
+    if e11 not in (ONE, -ONE) or e11 != e22:
+        terminal = GMat(e11, e12, e21, e22)
+        raise NotInG5Error(
+            f"terminal triangular matrix {terminal} has non-trivial unit")
+    sign = 1 if e11 == ONE else -1
+    if e12.a != 0:
+        raise NotInG5Error(f"terminal translation {e12} is not a multiple of L")
+    letters.append(("T", sign * e12.b))
     return word(letters)
 
 

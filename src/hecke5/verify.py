@@ -36,9 +36,9 @@ class CheckResult:
     detail: str
 
     def line(self) -> str:
-        args = " ".join(f"{k}={v}" for k, v in self.params.items())
+        args = "".join(f" {k}={v}" for k, v in self.params.items())
         status = "pass" if self.passed else "FAIL"
-        return f"{self.check_id} {args}: {status} ({self.detail})"
+        return f"{self.check_id}{args}: {status} ({self.detail})"
 
 
 def _result(check_id, params, passed, detail) -> CheckResult:

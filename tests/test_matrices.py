@@ -1,26 +1,34 @@
 import json
+import operator
 import random
+import re
+from functools import reduce
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hecke5.golden_ring import GoldenInt, LAMBDA, Modulus, ONE, ZERO
 from hecke5.hecke_matrices import (
-    GMat, IDENTITY, NotInG5Error, PROJ_IDENTITY, ProjMat, S_MAT, T_MAT, Word,
+    GMat, IDENTITY, NotInG5Error, ProjMat, S_MAT, T_MAT, Word,
     appendix_b_words, appendix_c_words, decompose, delta_m_words,
     elementary_generators, eval_word, eval_word_homogeneous, omega_2,
     parse_word, translation, word,
 )
 
 
+def power(m: GMat, n: int) -> GMat:
+    """m^n as the product of |n| factors m, or m.inv() for n < 0."""
+    return reduce(operator.mul, [m if n >= 0 else m.inv()] * abs(n), IDENTITY)
+
+
 def test_generator_relations():
     assert S_MAT * S_MAT == -IDENTITY
     u = S_MAT * T_MAT
-    assert u ** 5 == IDENTITY
-    assert u ** 3 != IDENTITY
-    assert ProjMat.of(u) ** 5 == PROJ_IDENTITY
-    assert u.trace() == -LAMBDA
+    assert power(u, 5) == IDENTITY
+    assert power(u, 3) != IDENTITY
+    assert ProjMat.of(power(u, 5)) == ProjMat.of(IDENTITY)
+    assert u.e11 + u.e22 == -LAMBDA
 
 
 def test_determinant_enforced():
@@ -32,7 +40,7 @@ def test_word_parse_and_print():
     w = parse_word("S T^3 S^-1 T^-2")
     assert str(w) == "S T^3 S^-1 T^-2"
     assert eval_word(w) == ProjMat.of(
-        S_MAT * T_MAT ** 3 * S_MAT.inv() * T_MAT ** -2)
+        S_MAT * power(T_MAT, 3) * S_MAT.inv() * power(T_MAT, -2))
 
 
 def test_word_free_reduction():
@@ -51,6 +59,55 @@ words_strategy = st.lists(
     st.tuples(st.sampled_from(["S", "T"]), st.integers(-6, 6).filter(bool)),
     min_size=0, max_size=12,
 ).map(word)
+
+
+@given(words_strategy)
+@settings(max_examples=200, deadline=None)
+def test_eval_word_homogeneous_is_the_product_of_its_letters(w):
+    want = reduce(operator.mul, (power(S_MAT if g == "S" else T_MAT, e)
+                                 for g, e in w.letters), IDENTITY)
+    assert eval_word_homogeneous(w) == want
+
+
+# S^e for e in -5..5 (S^0 is the empty word), T^7 and T^-7
+for _w in [*(word([("S", e)]) for e in range(-5, 6)),
+           word([("T", 7)]), word([("T", -7)])]:
+    test_eval_word_homogeneous_is_the_product_of_its_letters = example(_w)(
+        test_eval_word_homogeneous_is_the_product_of_its_letters)
+
+
+def parse_word_by_tokens(text: str) -> Word:
+    """The token-by-token parser that one whole-text match replaced, kept
+    as an oracle: each gap before a token must be blank, and so must the
+    tail, which may also be "1"."""
+    pos, letters = 0, []
+    for m in re.finditer(r"([ST])(?:\^(-?\d+))?", text):
+        if text[pos:m.start()].strip():
+            raise ValueError(f"malformed word: {text!r}")
+        letters.append((m.group(1), int(m.group(2) or 1)))
+        pos = m.end()
+    if text[pos:].strip() not in ("", "1"):
+        raise ValueError(f"malformed word: {text!r}")
+    return word(letters)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as e:
+        return str(e)
+
+
+@given(st.text("ST^-0123456789 1\t\nx+\u00b2", max_size=16))
+@example("S T^3 S^-1 T^-2 1")
+@example("S1")
+@example("1 S")
+@example("S^")
+@example(" \t\n")
+@settings(max_examples=500, deadline=None)
+def test_parse_word_matches_the_token_parser(text):
+    assert (parse_outcome(parse_word, text)
+            == parse_outcome(parse_word_by_tokens, text))
 
 
 @given(words_strategy)
@@ -85,12 +142,12 @@ def _lower(x: GoldenInt) -> GMat:
 @pytest.mark.parametrize("m", [
     _lower(ONE),
     translation(GoldenInt(1, 1)),
-    T_MAT ** 2 * translation(GoldenInt(3, 0)) * S_MAT,
+    T_MAT * T_MAT * translation(GoldenInt(3, 0)) * S_MAT,
     _lower(GoldenInt(2, 0)) * T_MAT * _lower(-ONE),
     translation(ONE) * _lower(ONE) * translation(-ONE),
     translation(ONE) * S_MAT * translation(ONE),
     _lower(GoldenInt(2, 1)) * translation(GoldenInt(-1, 1)),
-    S_MAT * translation(GoldenInt(5, 0)) * S_MAT * T_MAT ** 3
+    S_MAT * translation(GoldenInt(5, 0)) * S_MAT * power(T_MAT, 3)
     * translation(GoldenInt(-2, 0)),
 ], ids=["L(1)", "U(1+L)", "T^2.U(3).S", "L(2).T.L(-1)", "U(1).L(1).U(-1)",
         "U(1).S.U(1)", "L(2+L).U(-1+L)", "S.U(5).S.T^3.U(-2)"])
