@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .golden_ring import LAMBDA, GoldenInt, parse_golden
-from .hecke_matrices import GMat, ProjMat, decompose
+from .hecke_matrices import GMat, decompose
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def _side_map(x: tuple[Column, Column], y: tuple[Column, Column],
                 (c * s - d * r) * inv, (d * p - c * q) * inv)
 
 
-def side_pairing(hfs: HeckeFareySymbol) -> list[ProjMat]:
+def side_pairing(hfs: HeckeFareySymbol) -> list[GMat]:
     """One generator per even label, odd label, and free pair, in symbol order.
 
     With u, v the columns of an edge's cusps:
@@ -157,8 +157,12 @@ def side_pairing(hfs: HeckeFareySymbol) -> list[ProjMat]:
       [-v, -u-Lv] [-u v]^-1;
     - free, mapping the first edge (u1, v1) onto the second (u, v)
       reversed: [v, -u] [u1 v1]^-1.
+
+    Each is that product with the sign it comes out with.  A pairing is an
+    element of G5 only up to sign, and no sign needs choosing: `decompose`
+    gives M and -M the same word, and projective quotient keys are equal.
     """
-    gens: list[ProjMat] = []
+    gens: list[GMat] = []
     free_first: dict[int, tuple[Column, Column]] = {}
     for e0, e1, lab in hfs.edges():
         u, v = (e0.num, e0.den), (e1.num, e1.den)
@@ -175,7 +179,7 @@ def side_pairing(hfs: HeckeFareySymbol) -> list[ProjMat]:
         else:
             free_first[lab] = (u, v)
             continue
-        gens.append(ProjMat.of(g))
+        gens.append(g)
     for g in gens:
         decompose(g)  # raises NotInG5Error for an invalid symbol
     return gens

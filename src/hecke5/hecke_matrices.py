@@ -1,21 +1,20 @@
 """Determinant-1 matrices over Z[L], words in the generators S and T.
 
-S = [[0, 1], [-1, 0]] and T = [[1, L], [0, 1]] generate the homogeneous group;
-identifying a matrix with its negative gives the projective group, whose
-elements are represented here by sign-canonical `ProjMat` values.  A
-`ProjMat` only names an element; products are taken on `GMat`s, as in
-`ProjMat.of(a.rep * b.rep)`.
+S = [[0, 1], [-1, 0]] and T = [[1, L], [0, 1]] generate the homogeneous group.
+Every matrix here is a `GMat` with a definite sign: `eval_word` gives the
+exact product of a word's letters, so S^2 evaluates to -I.  The projective
+group G5 identifies M with -M, and only the keys of a projective
+`quotients.QuotientGroup` do that.
 
-`eval_word_homogeneous` applies the letters to the four entries as column
-steps and builds one `GMat` at the end.  `decompose` solves the word
-problem by the nearest-L continued fraction (Rosen, 1954) in the real
-embedding: repeatedly split off T^k S, with k the nearest integer to
-emb(e11) / emb(L e21), until the matrix is upper triangular, on the four
-entries alone.  The new e21 is e11 - kL e21, and |t - k| <= 1/2 for
-t = emb(e11) / emb(L e21), so each step multiplies |emb(e21)| by at most
-L/2 < 1.  A matrix is rejected as lying outside the group when its
-terminal triangular form is not +-T^j, or when the reduction passes its
-step bound.
+`eval_word` applies the letters to the four entries as column steps and
+builds one `GMat` at the end.  `decompose` solves the word problem by the
+nearest-L continued fraction (Rosen, 1954) in the real embedding: repeatedly
+split off T^k S, with k the nearest integer to emb(e11) / emb(L e21), until
+the matrix is upper triangular, on the four entries alone.  The new e21 is
+e11 - kL e21, and |t - k| <= 1/2 for t = emb(e11) / emb(L e21), so each step
+multiplies |emb(e21)| by at most L/2 < 1.  A matrix is rejected as lying
+outside the group when its terminal triangular form is not +-T^j, or when
+the reduction passes its step bound.
 """
 
 from __future__ import annotations
@@ -70,29 +69,6 @@ T_MAT = GMat(ONE, LAMBDA, ZERO, ONE)
 def translation(x: GoldenInt) -> GMat:
     """[[1, x], [0, 1]]; T^k = translation(k*L)."""
     return GMat(ONE, x, ZERO, ONE)
-
-
-@dataclass(frozen=True)
-class ProjMat:
-    """A GMat modulo sign, stored with canonical sign.
-
-    Canonical: the first nonzero entry in row-major order has b > 0, or
-    b == 0 and a > 0.
-    """
-
-    rep: GMat
-
-    @staticmethod
-    def of(m: GMat) -> "ProjMat":
-        for e in m.entries():
-            if e:
-                if e.b < 0 or (e.b == 0 and e.a < 0):
-                    m = -m
-                break
-        return ProjMat(m)
-
-    def __str__(self) -> str:
-        return str(self.rep)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +129,8 @@ def parse_word(text: str) -> Word:
     return word((g, int(e or 1)) for g, e in _WORD_TOKEN.findall(text))
 
 
-def eval_word_homogeneous(w: Word) -> GMat:
-    """The product of the letters' matrices, one column step per letter:
+def eval_word(w: Word) -> GMat:
+    """The exact product of the letters' matrices, one column step per letter:
     T^k adds kL times column 1 to column 2, and S^e turns the columns by
     e mod 4 quarter turns, (a, b, c, d) -> (-b, a, -d, c)."""
     a, b, c, d = ONE, ZERO, ZERO, ONE
@@ -168,20 +144,21 @@ def eval_word_homogeneous(w: Word) -> GMat:
     return GMat(a, b, c, d)
 
 
-def eval_word(w: Word) -> ProjMat:
-    return ProjMat.of(eval_word_homogeneous(w))
-
-
 # ---------------------------------------------------------------------------
 # Word problem.
 
 _MAX_REDUCTION_STEPS = 10_000
 
 
-def decompose(m: GMat | ProjMat) -> Word:
-    """Word in S, T evaluating to m projectively; NotInG5Error if impossible."""
-    # the input's GMat checked det = 1, and each step keeps it
-    e11, e12, e21, e22 = (m.rep if isinstance(m, ProjMat) else m).entries()
+def decompose(m: GMat) -> Word:
+    """A word in S, T evaluating to m or -m; NotInG5Error if there is none.
+
+    m is read up to sign: each step is linear in the entries and k depends
+    only on their ratio, so -m takes the same steps to the negated terminal
+    matrix, and the sign of its diagonal is folded into the last T^j.  Thus
+    decompose(-m) == decompose(m)."""
+    # m checked det = 1 when it was built, and each step keeps it
+    e11, e12, e21, e22 = m.entries()
     letters: list[Letter] = []
     for _ in range(_MAX_REDUCTION_STEPS):
         if not e21:
@@ -273,18 +250,17 @@ def elementary_generators(m: int) -> list[GMat]:
     ]
 
 
-def omega_2() -> list[ProjMat]:
+def omega_2() -> list[GMat]:
     """The four independent generators of the principal level-2 subgroup."""
     two_lam = GoldenInt(0, 2)
     one_2lam = GoldenInt(1, 2)
     two_2lam = GoldenInt(2, 2)
-    mats = [
+    return [
         translation(two_lam),
         GMat(ONE, ZERO, two_lam, ONE),
         GMat(one_2lam, two_2lam, two_lam, one_2lam),
         GMat(one_2lam, two_lam, two_2lam, one_2lam),
     ]
-    return [ProjMat.of(m) for m in mats]
 
 
 def appendix_b_words(m: int) -> list[Word]:

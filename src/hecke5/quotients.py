@@ -29,7 +29,7 @@ from typing import AbstractSet, Callable
 from .closure import DEFAULT_ELEMENT_CAP, UndecidedError
 from .closure import normal_closure as _normal_closure_engine
 from .golden_ring import Modulus, classify_rational_prime, factor, ring_tables
-from .hecke_matrices import GMat, ProjMat, S_MAT, T_MAT
+from .hecke_matrices import GMat, S_MAT, T_MAT
 
 Key = tuple[int, int, int, int]
 
@@ -153,12 +153,7 @@ class QuotientGroup:
     def mult(self, x: Key, y: Key) -> Key:
         return self._mult(x, y)
 
-    def key_of(self, m: GMat | ProjMat) -> Key:
-        if isinstance(m, ProjMat):
-            if not self.projective:  # a ProjMat does not say which of +-M
-                raise ValueError(f"a matrix up to sign has no key in the "
-                                 f"homogeneous Q({self.modulus})")
-            m = m.rep
+    def key_of(self, m: GMat) -> Key:
         r = ring_tables(self.modulus)
         t = (r.at(m.e11.a, m.e11.b), r.at(m.e12.a, m.e12.b),
              r.at(m.e21.a, m.e21.b), r.at(m.e22.a, m.e22.b))
@@ -351,7 +346,7 @@ def normal_closure(q: QuotientGroup, seeds) -> SubgroupHandle:
 
 
 def _as_key(q: QuotientGroup, seed) -> Key:
-    if isinstance(seed, (GMat, ProjMat)):
+    if isinstance(seed, GMat):
         return q.key_of(seed)
     return seed
 

@@ -455,11 +455,12 @@ class TestCongruence:
         assert code == 1
 
     def test_symbol_outside_g5_is_an_input_error(self, capsys):
-        # decompose raises NotInG5Error, a ValueError, on a side pairing
+        # decompose raises NotInG5Error, a ValueError, on a side pairing; the
+        # terminal matrix keeps the sign the pairing was built with
         code, out, err = invoke(capsys, "congruence",
                                 "--hfs", "[-inf; o; 1; o; inf]")
         assert (code, out) == (1, "")
-        assert err == ("error: terminal triangular matrix [[-1+L,2-L],[0,L]] "
+        assert err == ("error: terminal triangular matrix [[1-L,-2+L],[0,-L]] "
                        "has non-trivial unit\n")
 
     @pytest.mark.parametrize("gen", ["S", "T^2"])

@@ -9,6 +9,8 @@ from hecke5.farey import (
 from hecke5.golden_ring import GoldenInt, LAMBDA, ZERO
 from hecke5.hecke_matrices import IDENTITY, decompose
 
+from test_matrices import same_up_to_sign
+
 # the worked index-2 and index-5 examples: symbol, expected level, index
 EXAMPLES = {
     "index2": ("[-inf; *; 0; *; inf]", 2, 2),
@@ -22,11 +24,11 @@ EXAMPLES = {
 
 
 def proj_order(g, cap=12):
-    x = g.rep
+    x = g
     for k in range(1, cap + 1):
-        if x in (IDENTITY, -IDENTITY):
+        if same_up_to_sign(x, IDENTITY):
             return k
-        x = x * g.rep
+        x = x * g
     return None
 
 
@@ -84,13 +86,13 @@ class TestSidePairing:
         assert [proj_order(g) for g in gens] == [2, 2, 2, None]
         for g, expected in zip(gens, [2, 2, 2, None]):
             if expected == 2:
-                assert not g.rep.e11 + g.rep.e22
+                assert not g.e11 + g.e22
 
     def test_order_five_pairings(self):
         gens = side_pairing(parse_hfs(EXAMPLES["index2"][0]))
         assert [proj_order(g) for g in gens] == [5, 5]
         for g in gens:
-            trace = g.rep.e11 + g.rep.e22
+            trace = g.e11 + g.e22
             assert abs(trace.norm()) == 1  # |trace| is a power of L
 
     def test_five_involutions(self):

@@ -192,6 +192,20 @@ def test_canonical_associate_idempotent(x):
         assert canonical_associate(-x) == c
 
 
+@given(elems.filter(bool), st.integers(-8, 8))
+@example(GoldenInt(1, 0), -8)
+@example(GoldenInt(-3, 5), 8)
+def test_canonical_associate_is_unit_invariant(x, k):
+    """+-L^k x all have x's canonical associate: `Modulus` prints a split
+    prime's factor through it."""
+    u = ONE
+    for _ in range(abs(k)):
+        u = u * (LAMBDA if k > 0 else LAMBDA.inverse())
+    c = canonical_associate(x)
+    assert canonical_associate(u * x) == c
+    assert canonical_associate(-u * x) == c
+
+
 class TestModulus:
     def test_ring_sizes(self):
         assert Modulus.rational(2).ring_size == 4

@@ -10,11 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from hecke5.golden_ring import GoldenInt, LAMBDA, Modulus, ONE, ZERO
 from hecke5.hecke_matrices import (
-    GMat, IDENTITY, NotInG5Error, ProjMat, S_MAT, T_MAT, Word,
+    GMat, IDENTITY, NotInG5Error, S_MAT, T_MAT, Word,
     appendix_b_words, appendix_c_words, decompose, delta_m_words,
-    elementary_generators, eval_word, eval_word_homogeneous, omega_2,
-    parse_word, translation, word,
+    elementary_generators, eval_word, omega_2, parse_word, translation, word,
 )
+from hecke5.quotients import build_quotient
 
 
 def power(m: GMat, n: int) -> GMat:
@@ -22,12 +22,17 @@ def power(m: GMat, n: int) -> GMat:
     return reduce(operator.mul, [m if n >= 0 else m.inv()] * abs(n), IDENTITY)
 
 
+def same_up_to_sign(m: GMat, n: GMat) -> bool:
+    """m and n are one element of the projective group G5."""
+    return m == n or m == -n
+
+
 def test_generator_relations():
     assert S_MAT * S_MAT == -IDENTITY
     u = S_MAT * T_MAT
     assert power(u, 5) == IDENTITY
     assert power(u, 3) != IDENTITY
-    assert ProjMat.of(power(u, 5)) == ProjMat.of(IDENTITY)
+    assert same_up_to_sign(power(u, 5), IDENTITY)
     assert u.e11 + u.e22 == -LAMBDA
 
 
@@ -39,7 +44,7 @@ def test_determinant_enforced():
 def test_word_parse_and_print():
     w = parse_word("S T^3 S^-1 T^-2")
     assert str(w) == "S T^3 S^-1 T^-2"
-    assert eval_word(w) == ProjMat.of(
+    assert eval_word(w) == (
         S_MAT * power(T_MAT, 3) * S_MAT.inv() * power(T_MAT, -2))
 
 
@@ -51,8 +56,8 @@ def test_word_free_reduction():
 
 def test_homogeneous_s_order_four():
     w = word([("S", 2)])
-    assert eval_word_homogeneous(w) == -IDENTITY
-    assert eval_word_homogeneous(word([("S", 4)])) == IDENTITY
+    assert eval_word(w) == -IDENTITY
+    assert eval_word(word([("S", 4)])) == IDENTITY
 
 
 words_strategy = st.lists(
@@ -63,17 +68,17 @@ words_strategy = st.lists(
 
 @given(words_strategy)
 @settings(max_examples=200, deadline=None)
-def test_eval_word_homogeneous_is_the_product_of_its_letters(w):
+def test_eval_word_is_the_product_of_its_letters(w):
     want = reduce(operator.mul, (power(S_MAT if g == "S" else T_MAT, e)
                                  for g, e in w.letters), IDENTITY)
-    assert eval_word_homogeneous(w) == want
+    assert eval_word(w) == want
 
 
 # S^e for e in -5..5 (S^0 is the empty word), T^7 and T^-7
 for _w in [*(word([("S", e)]) for e in range(-5, 6)),
            word([("T", 7)]), word([("T", -7)])]:
-    test_eval_word_homogeneous_is_the_product_of_its_letters = example(_w)(
-        test_eval_word_homogeneous_is_the_product_of_its_letters)
+    test_eval_word_is_the_product_of_its_letters = example(_w)(
+        test_eval_word_is_the_product_of_its_letters)
 
 
 def parse_word_by_tokens(text: str) -> Word:
@@ -114,7 +119,18 @@ def test_parse_word_matches_the_token_parser(text):
 @settings(max_examples=200, deadline=None)
 def test_decompose_roundtrip(w):
     m = eval_word(w)
-    assert eval_word(decompose(m)) == m
+    assert same_up_to_sign(eval_word(decompose(m)), m)
+
+
+@given(words_strategy)
+@example(word([("S", 2)]))
+@example(word([("S", 4)]))
+@example(word([]))
+@settings(max_examples=200, deadline=None)
+def test_decompose_reads_a_matrix_up_to_sign(w):
+    """M and -M get one word, so a side pairing needs no canonical sign."""
+    m = eval_word(w)
+    assert decompose(m) == decompose(-m)
 
 
 def test_decompose_roundtrip_bulk():
@@ -124,7 +140,7 @@ def test_decompose_roundtrip_bulk():
         letters = [(rng.choice("ST"), rng.choice([-3, -2, -1, 1, 2, 3]))
                    for _ in range(rng.randint(0, 40))]
         m = eval_word(word(letters))
-        assert eval_word(decompose(m)) == m
+        assert same_up_to_sign(eval_word(decompose(m)), m)
 
 
 def test_non_members_rejected():
@@ -166,9 +182,11 @@ def test_translation():
 
 
 def test_projective_sign_canonical():
-    m = ProjMat.of(-T_MAT)
-    assert m == ProjMat.of(T_MAT)
-    assert m.rep == T_MAT
+    """-T and T are two GMats, one element of G5: only a projective
+    quotient's keys choose the sign."""
+    assert same_up_to_sign(-T_MAT, T_MAT) and -T_MAT != T_MAT
+    q = build_quotient(Modulus.rational(5))
+    assert q.key_of(-T_MAT) == q.key_of(T_MAT)
 
 
 def test_omega_generators_members():
@@ -191,8 +209,7 @@ def test_delta_residues_match_table(m, p):
     mod = Modulus.rational(m * p)
     def proj_key(mat):
         red = mod.reduce_pair
-        e = mat.rep.entries() if isinstance(mat, ProjMat) else mat.entries()
-        t = sum((red(x.a, x.b) for x in e), ())
+        t = sum((red(x.a, x.b) for x in mat.entries()), ())
         n = sum((red(-a, -b) for a, b in zip(t[::2], t[1::2])), ())
         return min(t, n)
     got = {proj_key(eval_word(w)) for w in delta_m_words(m)}

@@ -14,7 +14,7 @@ from hecke5.closure import DEFAULT_ELEMENT_CAP, generated_closure
 from hecke5.golden_ring import GoldenInt, Modulus, RAMIFIED_PRIME, ring_tables
 from hecke5.hecke_matrices import (
     S_MAT, T_MAT, delta_m_words, elementary_generators, eval_word,
-    eval_word_homogeneous, parse_word, word,
+    parse_word, word,
 )
 from hecke5 import closure, congruence, quotients
 from hecke5.congruence import _ideal_divisors
@@ -479,16 +479,14 @@ def test_an_order_builds_no_tables():
     assert ring_tables.cache_info().currsize == 0
 
 
-def test_a_matrix_up_to_sign_has_no_homogeneous_key():
+def test_one_word_has_order_ten_homogeneous_and_five_projective():
     """S^-1 T generates a subgroup of order 10 in the homogeneous Q(5), and
-    of order 5 in the projective one.  A `ProjMat` does not say which of
-    +-S^-1 T it means, so the homogeneous quotient refuses it."""
+    of order 5 in the projective one: one exact product, keyed with its
+    sign or up to it."""
     mod, w = Modulus.rational(5), parse_word("S^-1 T")
     hom = build_quotient(mod, projective=False)
-    assert subgroup_closure(hom, [eval_word_homogeneous(w)]).order == 10
+    assert subgroup_closure(hom, [eval_word(w)]).order == 10
     assert subgroup_closure(build_quotient(mod), [eval_word(w)]).order == 5
-    with pytest.raises(ValueError, match="up to sign"):
-        subgroup_closure(hom, [eval_word(w)])
 
 
 def test_lazy_ambient_closure():
@@ -635,11 +633,28 @@ words = st.lists(
          word([("T", -1), ("S", 1)]))
 def test_mult_matches_matrix_product(mod, projective, u, v):
     amb = build_quotient(mod, projective=projective)
-    g, h = eval_word_homogeneous(u), eval_word_homogeneous(v)
+    g, h = eval_word(u), eval_word(v)
     assert amb.mult(amb.key_of(g), amb.key_of(h)) == amb.key_of(g * h)
     assert amb.mult(amb.key_of(g), amb.inv_key(amb.key_of(g))) == amb.identity
     assert amb.step(amb.key_of(g)) == (amb.key_of(g * S_MAT),
                                        amb.key_of(g * T_MAT))
+
+
+@pytest.mark.parametrize("n", [5, 6, 8])
+@given(w=words)
+@example(w=word([("S", 2)]))
+@example(w=word([]))
+def test_a_word_keys_as_the_product_of_its_letters(n, w):
+    """The homogeneous key of the exact product is the `mult` product of the
+    generator keys, letter by letter: the sign of S^2 = -I is kept."""
+    hom = build_quotient(Modulus.rational(n), projective=False)
+    gen = {"S": (hom.gen_S, hom.inv_key(hom.gen_S)),
+           "T": (hom.gen_T, hom.inv_key(hom.gen_T))}
+    x = hom.identity
+    for g, e in w.letters:
+        for _ in range(abs(e)):
+            x = hom.mult(x, gen[g][e < 0])
+    assert hom.key_of(eval_word(w)) == x
 
 
 @pytest.mark.parametrize("mod", [Modulus.rational(6), Modulus.rational(8),
