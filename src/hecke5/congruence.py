@@ -39,6 +39,8 @@ class CosetTable:
 
     def __post_init__(self):
         n = len(self.perm_s)
+        if any(not 0 <= x < n for x in self.perm_s + self.perm_t):
+            raise ValueError(f"a permutation entry is outside 0..{n - 1}")
         if len(self.perm_t) != n:
             raise ValueError("permutation length mismatch")
         if any(self.perm_s[self.perm_s[i]] != i for i in range(n)):

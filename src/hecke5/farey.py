@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .golden_ring import LAMBDA, GoldenInt, parse_golden
-from .hecke_matrices import GMat, decompose
+from .hecke_matrices import GMat
 
 
 @dataclass(frozen=True)
@@ -161,6 +161,7 @@ def side_pairing(hfs: HeckeFareySymbol) -> list[GMat]:
     Each is that product with the sign it comes out with.  A pairing is an
     element of G5 only up to sign, and no sign needs choosing: `decompose`
     gives M and -M the same word, and projective quotient keys are equal.
+    Membership in G5 is the caller's `decompose` (NotInG5Error).
     """
     gens: list[GMat] = []
     free_first: dict[int, tuple[Column, Column]] = {}
@@ -180,6 +181,4 @@ def side_pairing(hfs: HeckeFareySymbol) -> list[GMat]:
             free_first[lab] = (u, v)
             continue
         gens.append(g)
-    for g in gens:
-        decompose(g)  # raises NotInG5Error for an invalid symbol
     return gens

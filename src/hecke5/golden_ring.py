@@ -20,29 +20,19 @@ class GoldenInt:
     a: int
     b: int
 
-    def __add__(self, other: "GoldenInt | int") -> "GoldenInt":
-        other = _coerce(other)
+    def __add__(self, other: "GoldenInt") -> "GoldenInt":
         return GoldenInt(self.a + other.a, self.b + other.b)
 
-    __radd__ = __add__
-
-    def __sub__(self, other: "GoldenInt | int") -> "GoldenInt":
-        other = _coerce(other)
+    def __sub__(self, other: "GoldenInt") -> "GoldenInt":
         return GoldenInt(self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other: "GoldenInt | int") -> "GoldenInt":
-        return _coerce(other) - self
 
     def __neg__(self) -> "GoldenInt":
         return GoldenInt(-self.a, -self.b)
 
-    def __mul__(self, other: "GoldenInt | int") -> "GoldenInt":
-        other = _coerce(other)
+    def __mul__(self, other: "GoldenInt") -> "GoldenInt":
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         bb = b1 * b2
         return GoldenInt(a1 * a2 + bb, a1 * b2 + a2 * b1 + bb)
-
-    __rmul__ = __mul__
 
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
@@ -63,8 +53,7 @@ class GoldenInt:
         c = self.conj()
         return c if n == 1 else -c
 
-    def divisible_by(self, d: "GoldenInt | int") -> bool:
-        d = _coerce(d)
+    def divisible_by(self, d: "GoldenInt") -> bool:
         n = d.norm()
         if n == 0:
             return not self
@@ -84,14 +73,6 @@ class GoldenInt:
         if a == 0:
             return lam
         return f"{a}+{lam}" if not lam.startswith("-") else f"{a}{lam}"
-
-
-def _coerce(x) -> GoldenInt:
-    if isinstance(x, GoldenInt):
-        return x
-    if isinstance(x, int):
-        return GoldenInt(x, 0)
-    raise TypeError(f"cannot coerce {x!r} to GoldenInt")
 
 
 ZERO = GoldenInt(0, 0)
@@ -202,29 +183,13 @@ class Modulus:
 
 
 def _ideal_hnf(g: GoldenInt) -> tuple[int, int, int]:
-    # lattice rows: g = (a, b) and L*g = (b, a+b)
-    v1 = (g.a, g.b)
-    v2 = (g.b, g.a + g.b)
-    d2, s, t = _xgcd(v1[1], v2[1])  # d2 > 0: v1[1] = b and v2[1] = a+b cannot both vanish
-    w = (s * v1[0] + t * v2[0], d2)
-    r1 = v1[0] - (v1[1] // d2) * w[0]
-    r2 = v2[0] - (v2[1] // d2) * w[0]
-    d1 = gcd(abs(r1), abs(r2))
-    c = w[0] % d1
-    return d1, c, d2
-
-
-def _xgcd(x: int, y: int) -> tuple[int, int, int]:
-    """g, s, t with s*x + t*y = g = gcd(x, y) >= 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while y:
-        q, r = divmod(x, y)
-        x, y = y, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if x < 0:
-        x, s0, t0 = -x, -s0, -t0
-    return x, s0, t0
+    """HNF (d1, c, d2) of (g) = e(h), e = gcd(a, b), h = a' + b'L primitive:
+    Z[L]/(h) is Z/N, N = |N(h)|, so (h) has basis (N, 0), (c, 1) with
+    c = a'/b' mod N (c + L is in (h)); gcd(b', N) = gcd(b', a'^2) = 1."""
+    e = gcd(g.a, g.b)
+    a, b = g.a // e, g.b // e
+    n = abs(a * a + a * b - b * b)
+    return e * n, e * (a * pow(b, -1, n) % n), e
 
 
 class RingTables:
@@ -344,30 +309,28 @@ def canonical_associate(x: GoldenInt) -> GoldenInt:
     """Deterministic representative of the associate class of x.
 
     Scales by +-L^k to minimise |a| + |b|; ties broken by preferring a > 0,
-    then b > 0.
+    then b > 0, then the least a and b.
+
+    Write L^k x = f_k + f_(k+1) L, so f_(k+2) = f_(k+1) + f_k, and let
+    w(k) = |f_k| + |f_(k+1)|.  Then w(k+1) - w(k) = |f_(k+2)| - |f_k|:
+    -|f_(k+1)| while f_k, f_(k+1), f_(k+2) alternate in sign, and
+    +|f_(k+1)| once f_k and f_(k+1) agree, after which all later terms
+    agree.  So w falls strictly, takes one step of either sign (or 0),
+    then rises strictly: its least value sits at one k or at two adjacent
+    ones.  Stepping by L, then by L^-1, while w strictly drops reaches one
+    of them; the other, if any, is an L-neighbour of equal weight.
     """
     if not x:
         return x
-    lam_inv = GoldenInt(-1, 1)  # L^-1 = L - 1
 
     def weight(y: GoldenInt) -> int:
         return abs(y.a) + abs(y.b)
 
-    best = x
-    for step in (LAMBDA, lam_inv):
-        cur = best
-        stale = 0
-        while stale < 3:
-            cur = cur * step
-            if weight(cur) < weight(best):
-                best, stale = cur, 0
-            else:
-                stale += 1
-    candidates = [best, -best]
-    # L-neighbours can tie on weight; include them for deterministic choice
-    for step in (LAMBDA, lam_inv):
-        y = best * step
-        if weight(y) == weight(best):
-            candidates += [y, -y]
-    ties = [y for y in candidates if weight(y) == weight(best)]
-    return min(ties, key=lambda y: (-(y.a > 0), -(y.b > 0), y.a, y.b))
+    steps = (LAMBDA, GoldenInt(-1, 1))  # L and L^-1 = L - 1
+    for step in steps:
+        while weight(y := x * step) < weight(x):
+            x = y
+    ties = [x] + [y for y in (x * step for step in steps)
+                  if weight(y) == weight(x)]
+    return min([y for t in ties for y in (t, -t)],
+               key=lambda y: (-(y.a > 0), -(y.b > 0), y.a, y.b))

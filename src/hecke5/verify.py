@@ -104,9 +104,9 @@ def check_kernel_ladder(pi: str) -> CheckResult:
     """|G(2pi)/G(4pi)| for odd pi: 16 at pi=1, else 32, counted by
     enumerating the kernel."""
     g = _parse_modulus(pi).generator
-    if g.divisible_by(2):
-        raise ValueError("pi must be odd")
     two = GoldenInt(2, 0)
+    if g.divisible_by(two):
+        raise ValueError("pi must be odd")
     q = build_quotient(Modulus.ideal(g * two * two), projective=True)
     k = kernel_subgroup(q, Modulus.ideal(g * two))
     size = len(frozenset(k.members))

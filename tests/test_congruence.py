@@ -141,6 +141,12 @@ class TestCosetTable:
         with pytest.raises(ValueError):
             CosetTable((0, 1), (0, 1))  # not transitive
 
+    @pytest.mark.parametrize("perm_s,perm_t", [
+        ((1,), (0,)), ((1, 0), (2, 0)), ((0,), (-1,))])
+    def test_entries_out_of_range_are_refused(self, perm_s, perm_t):
+        with pytest.raises(ValueError, match="permutation entry is outside"):
+            CosetTable(perm_s, perm_t)
+
 
 # sympy's G5 = <s, u | s^2 = u^5 = 1>, for the oracles below
 _F, _s, _u = free_group("s u")

@@ -7,7 +7,7 @@ from hecke5.farey import (
     EVEN, ODD, Cusp, HeckeFareySymbol, parse_hfs, side_pairing,
 )
 from hecke5.golden_ring import GoldenInt, LAMBDA, ZERO
-from hecke5.hecke_matrices import IDENTITY, decompose
+from hecke5.hecke_matrices import IDENTITY, NotInG5Error, decompose
 
 from test_matrices import same_up_to_sign
 
@@ -105,9 +105,18 @@ class TestSidePairing:
         assert len(free) == 2
 
     def test_invalid_edge_rejected(self):
-        bad = "[-inf; o; 0; o; 1+L; o; inf]"   # (0, 1+L) is not unimodular
-        with pytest.raises(ValueError):
+        bad = "[-inf; o; 0; o; 2; o; inf]"   # det [0 2; 1 1] = -2, not a unit
+        message = r"^edge \(0, 2\) is not unimodular$"
+        with pytest.raises(ValueError, match=message):
             side_pairing(parse_hfs(bad))
+
+    def test_pairing_outside_g5_is_refused_by_decompose(self):
+        # (0, 1+L) is unimodular (det -L^2), but its even pairing is not in
+        # G5: side_pairing returns it, and membership is decompose's
+        gens = side_pairing(parse_hfs("[-inf; o; 0; o; 1+L; o; inf]"))
+        with pytest.raises(NotInG5Error, match="^terminal"):
+            for g in gens:
+                decompose(g)
 
 
 # -- Cusp classes, widths and geometric level --------------------------------

@@ -206,6 +206,77 @@ def test_canonical_associate_is_unit_invariant(x, k):
     assert canonical_associate(-u * x) == c
 
 
+def canonical_associate_by_lookahead(x: GoldenInt) -> GoldenInt:
+    """The oracle for `canonical_associate`: search each direction until
+    three steps in a row find no lighter associate, then break ties among
+    the least one's L-neighbours."""
+    if not x:
+        return x
+    lam_inv = GoldenInt(-1, 1)
+
+    def weight(y: GoldenInt) -> int:
+        return abs(y.a) + abs(y.b)
+
+    best = x
+    for step in (LAMBDA, lam_inv):
+        cur = best
+        stale = 0
+        while stale < 3:
+            cur = cur * step
+            if weight(cur) < weight(best):
+                best, stale = cur, 0
+            else:
+                stale += 1
+    candidates = [best, -best]
+    for step in (LAMBDA, lam_inv):
+        y = best * step
+        if weight(y) == weight(best):
+            candidates += [y, -y]
+    ties = [y for y in candidates if weight(y) == weight(best)]
+    return min(ties, key=lambda y: (-(y.a > 0), -(y.b > 0), y.a, y.b))
+
+
+# Associates of least weight at two adjacent k, then at one k, then zero.
+@given(huge)
+@example(ONE)  # 1 and L, weight 1
+@example(GoldenInt(0, -1))  # -L and -1
+@example(GoldenInt(0, 3))  # 3L and 3
+@example(GoldenInt(-7, -7))  # -7L^2: -7 and -7L, weight 7
+@example(GoldenInt(-1, 2))  # -1+2L and 2+L, weight 3
+@example(GoldenInt(-4, 3))  # (-1+2L) L^-1: one step down to that tie
+@example(GoldenInt(5, 8))  # L^6: six steps down to the tie of 1 and L
+@example(GoldenInt(5, -2))  # (3+L) L^-1: 3+L alone has weight 4
+@example(GoldenInt(3, 1))  # 3+L itself
+@example(ZERO)
+def test_canonical_associate_matches_the_lookahead(x):
+    assert canonical_associate(x) == canonical_associate_by_lookahead(x)
+
+
+def test_canonical_associate_matches_the_lookahead_on_a_grid():
+    grid = [GoldenInt(a, b) for a in range(-60, 61) for b in range(-60, 61)]
+    assert [x for x in grid if canonical_associate(x)
+            != canonical_associate_by_lookahead(x)] == []
+
+
+@given(elems.filter(bool))
+@example(ONE)
+@example(GoldenInt(3, 0))
+@example(GoldenInt(-5, 8))
+def test_associate_weight_falls_steps_once_then_rises(x):
+    """w(k) = |a| + |b| of L^k x over k in -40..40: strictly falling, one
+    step of either sign (or 0), then strictly rising."""
+    y = x
+    for _ in range(40):
+        y = y * GoldenInt(-1, 1)  # L^-1
+    w = []
+    for _ in range(81):
+        w.append(abs(y.a) + abs(y.b))
+        y = y * LAMBDA
+    steps = [v - u for u, v in zip(w, w[1:])]
+    falls = next((i for i, d in enumerate(steps) if d >= 0), len(steps))
+    assert all(d > 0 for d in steps[falls + 1:]), steps
+
+
 class TestModulus:
     def test_ring_sizes(self):
         assert Modulus.rational(2).ring_size == 4
@@ -231,6 +302,23 @@ class TestModulus:
             i, j = r.at(x.a, x.b), r.at(y.a, y.b)
             assert r.at((x + y).a, (x + y).b) == r.red[r.wide[i] + r.wide[j]]
             assert r.at((x * y).a, (x * y).b) == r.red[r.mul[i][j]]
+
+    @given(st.builds(GoldenInt, st.integers(-10**12, 10**12),
+                     st.integers(-10**12, 10**12)).filter(bool))
+    @example(GoldenInt(6, 0))
+    @example(LAMBDA)
+    @example(GoldenInt(5, 5))
+    @example(GoldenInt(4, 2))
+    @example(GoldenInt(-3, -1))
+    @example(GoldenInt(235, -476))
+    def test_ideal_hnf_is_a_basis_of_the_ideal(self, g):
+        """(d1, 0) and (c, d2) lie in (g), and their lattice has the
+        index |N(g)| of (g), so they are a basis of it, in Hermite form."""
+        m = Modulus.ideal(g)
+        assert m.d1 * m.d2 == abs(g.norm())
+        assert m.d2 > 0 and 0 <= m.c < m.d1
+        assert GoldenInt(m.d1, 0).divisible_by(g)
+        assert GoldenInt(m.c, m.d2).divisible_by(g)
 
     def test_residue_count(self):
         m = Modulus.ideal(GoldenInt(2, 1))
