@@ -87,11 +87,22 @@ def _walk(perm_s, perm_t, base: int = 0) -> dict[int, tuple[int, str] | None]:
 _RELATORS = ([0, 0], [2] * 5)
 
 
+# the columns of S, S^-1, T = s u and T^-1 = u^-1 s^-1, keyed by generator
+# and the sign of the exponent
+_UNITS = {("S", True): [0], ("S", False): [1],
+          ("T", True): [0, 2], ("T", False): [3, 1]}
+
+
 def _letters(w: Word) -> list[int]:
     """`w` as a freely reduced list of columns, with T = s*u.  A word longer
     than MAX_WORD_LENGTH letters S and T is refused before the power that
     passes the bound is expanded: scanning it may take a step per column
-    however small the table."""
+    however small the table.
+
+    A letter's expansion, its unit repeated, is reduced by itself: its
+    neighbouring columns are 0 0 (S^k), 1 1 (S^-k), 0 2 and 2 0 (T^k), or
+    3 1 and 1 3 (T^-k), never a column x and its inverse x ^ 1.  So columns
+    cancel only where a letter meets the tail of `out`."""
     out: list[int] = []
     length = 0
     for gen, exp in w.letters:
@@ -100,14 +111,12 @@ def _letters(w: Word) -> list[int]:
         if length > MAX_WORD_LENGTH:
             raise ValueError(f"a generator word is longer than "
                              f"{MAX_WORD_LENGTH} letters S and T")
-        unit = [0] if gen == "S" else [0, 2]
-        if exp < 0:
-            unit = [x ^ 1 for x in reversed(unit)]
-        for x in unit * k:
-            if out and out[-1] == x ^ 1:
-                out.pop()
-            else:
-                out.append(x)
+        chunk = _UNITS[gen, exp > 0] * k
+        i = 0
+        while out and i < len(chunk) and out[-1] == chunk[i] ^ 1:
+            out.pop()
+            i += 1
+        out += chunk[i:]
     return out
 
 
@@ -168,10 +177,10 @@ def coset_table(generators: list[Word], cap: int = DEFAULT_COSET_CAP) -> CosetTa
     def scan_and_fill(a: int, w: list[int]) -> None:
         f, b, i, j = a, a, 0, len(w) - 1
         while True:
-            while i <= j and table[f][w[i]] is not None:
-                f, i = table[f][w[i]], i + 1
-            while j >= i and table[b][w[j] ^ 1] is not None:
-                b, j = table[b][w[j] ^ 1], j - 1
+            while i <= j and (g := table[f][w[i]]) is not None:
+                f, i = g, i + 1
+            while j >= i and (g := table[b][w[j] ^ 1]) is not None:
+                b, j = g, j - 1
             if j < i:  # the scan completes
                 if f != b:
                     coincidence(f, b)

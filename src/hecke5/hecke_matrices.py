@@ -90,10 +90,11 @@ class Word:
                 raise ValueError("word is not freely reduced")
 
     def __mul__(self, other: "Word") -> "Word":
-        return word(list(self.letters) + list(other.letters))
+        return word(self.letters + other.letters)
 
     def inv(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.letters)))
+        return _trusted_word(
+            tuple((g, -e) for g, e in reversed(self.letters)))
 
     def __str__(self) -> str:
         if not self.letters:
@@ -102,19 +103,30 @@ class Word:
 
 
 def word(letters) -> Word:
-    """Build a freely reduced Word from (gen, exp) pairs."""
+    """Build a freely reduced Word from (gen, exp) pairs, gen "S" or "T" and
+    exp an int: zero exponents are dropped and neighbours of one generator
+    merge.  A bad letter is refused as given, before any merge."""
     out: list[Letter] = []
     for gen, exp in letters:
-        if exp == 0:
+        if gen not in ("S", "T") or type(exp) is not int:
+            raise ValueError(f"bad letter {(gen, exp)}")
+        if not exp:
             continue
         if out and out[-1][0] == gen:
-            merged = out[-1][1] + exp
-            out.pop()
+            merged = out.pop()[1] + exp
             if merged:
                 out.append((gen, merged))
         else:
             out.append((gen, exp))
-    return Word(tuple(out))
+    return _trusted_word(tuple(out))
+
+
+def _trusted_word(letters: tuple[Letter, ...]) -> Word:
+    """A Word of letters that already pass `Word`'s checks, built without
+    running them again."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 # letters apart by whitespace, then an optional "1"; not "1?\s*", which tries
@@ -126,7 +138,8 @@ _WORD_TOKEN = re.compile(r"([ST])(?:\^(-?\d+))?")
 def parse_word(text: str) -> Word:
     if not _WORD.fullmatch(text):
         raise ValueError(f"malformed word: {text!r}")
-    return word((g, int(e or 1)) for g, e in _WORD_TOKEN.findall(text))
+    return word([(g, int(e) if e else 1)
+                 for g, e in _WORD_TOKEN.findall(text)])
 
 
 def eval_word(w: Word) -> GMat:

@@ -11,11 +11,13 @@ import pytest
 
 from hecke5 import __version__, cli, quotients
 from hecke5.cli import main
-from hecke5.congruence import CongruenceReport, is_congruence
+from hecke5.congruence import (
+    CongruenceReport, CosetTable, is_congruence, schreier_generators,
+)
 from hecke5.farey import parse_hfs, side_pairing
-from hecke5.golden_ring import GoldenInt, Modulus
+from hecke5.golden_ring import GoldenInt, Modulus, parse_golden
 from hecke5.hecke_matrices import decompose
-from hecke5.quotients import quotient_order
+from hecke5.quotients import build_quotient, quotient_order
 
 from test_farey import EXAMPLES
 
@@ -398,6 +400,20 @@ def test_large_parameters_end_at_once(capsys, argv, code, err):
     assert time.perf_counter() - start < 5
 
 
+def regular_action(q) -> CosetTable:
+    """Q's right action on itself, points numbered breadth first from the
+    identity, S before T; the stabilizer of point 0 is the kernel G(N)."""
+    order, pos = [q.identity], {q.identity: 0}
+    for x in order:
+        for g in (q.gen_S, q.gen_T):
+            y = q.mult(x, g)
+            if y not in pos:
+                pos[y] = len(order)
+                order.append(y)
+    return CosetTable(tuple(pos[q.mult(x, q.gen_S)] for x in order),
+                      tuple(pos[q.mult(x, q.gen_T)] for x in order))
+
+
 class TestCongruence:
     def test_whole_group_from_generators(self, capsys):
         code, out, _ = invoke(capsys, "congruence", "--gens", "S",
@@ -405,6 +421,24 @@ class TestCongruence:
         assert code == 0
         assert "index 1" in out
         assert "verdict: congruence, algebraic level (1)" in out
+
+    @pytest.mark.parametrize("level,index", [
+        ("2", 10), ("2+L", 60), ("3", 60), ("4", 160), ("6", 600)])
+    def test_principal_subgroup_from_its_generators(self, capsys, level,
+                                                    index):
+        """G(N) from the Schreier generators of Q(N)'s regular action,
+        index + 1 words (601 for G(6)), printed and parsed back."""
+        modulus = (Modulus.rational(int(level)) if level.isdigit()
+                   else Modulus.ideal(parse_golden(level)))
+        words = schreier_generators(regular_action(build_quotient(modulus)))
+        assert len(words) == index + 1
+        code, out, err = invoke(capsys, "congruence",
+                                *(f"--gens={w}" for w in words),
+                                "--format", "json")
+        assert (code, err) == (0, "")
+        rec = json.loads(out.splitlines()[1])
+        assert (rec["index"], rec["verdict"], rec["algebraic_level"]) == (
+            index, "congruence", f"({level})")
 
     def test_symbol_input(self, capsys):
         code, out, _ = invoke(capsys, "congruence",

@@ -148,6 +148,36 @@ class TestCosetTable:
             CosetTable(perm_s, perm_t)
 
 
+def letters_by_column(w):
+    """The per-column loop that `congruence._letters` replaced, kept as an
+    oracle: each column of each letter's expansion is cancelled against the
+    tail or appended.  It has no length bound."""
+    out = []
+    for gen, exp in w.letters:
+        unit = [0] if gen == "S" else [0, 2]
+        if exp < 0:
+            unit = [x ^ 1 for x in reversed(unit)]
+        for x in unit * abs(exp):
+            if out and out[-1] == x ^ 1:
+                out.pop()
+            else:
+                out.append(x)
+    return out
+
+
+@given(st.lists(st.tuples(st.sampled_from("ST"), st.integers(-8, 8)),
+                max_size=16).map(word))
+# where a letter meets the tail, s^-1 s cancels in the first, third and
+# fourth word; the second, s u s^-1 u^-1 s^-1, is reduced as expanded
+@example(parse_word("S^-1 T"))
+@example(parse_word("T S^-1 T^-1"))
+@example(parse_word("T^-1 S T^2"))
+@example(parse_word("S^-3 T^4"))
+@settings(max_examples=300, deadline=None)
+def test_letters_match_the_column_loop(w):
+    assert congruence._letters(w) == letters_by_column(w)
+
+
 # sympy's G5 = <s, u | s^2 = u^5 = 1>, for the oracles below
 _F, _s, _u = free_group("s u")
 _PRESENTATION = FpGroup(_F, [_s**2, _u**5])

@@ -54,6 +54,66 @@ def test_word_free_reduction():
     assert (w * w.inv()).letters == ()
 
 
+def word_by_merging(letters) -> Word:
+    """The merge loop that `word` replaced, kept as an oracle: it drops zero
+    exponents and merges neighbours, and `Word`'s own checks then see only
+    the merged letters."""
+    out = []
+    for gen, exp in letters:
+        if exp == 0:
+            continue
+        if out and out[-1][0] == gen:
+            merged = out[-1][1] + exp
+            out.pop()
+            if merged:
+                out.append((gen, merged))
+        else:
+            out.append((gen, exp))
+    return Word(tuple(out))
+
+
+def first_bad_letter(letters):
+    return next(((g, e) for g, e in letters
+                 if g not in ("S", "T") or type(e) is not int), None)
+
+
+@given(st.lists(st.tuples(st.sampled_from("ST"), st.integers(-6, 6)),
+                max_size=12))
+# bad letters are refused as given, before any merge: the merge loop
+# returned the empty word for the first two, S^1.5 for the third, and
+# named ('X', 3), a letter nobody passed, for the fourth
+@example([("X", 1), ("X", -1)])
+@example([("X", 0)])
+@example([("S", 1.5)])
+@example([("X", 1), ("X", 2)])
+@example([("S", 1), ("T", "2")])
+@example([("T", True)])
+@settings(max_examples=300, deadline=None)
+def test_word_matches_the_merge_loop(letters):
+    bad = first_bad_letter(letters)
+    if bad is not None:
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(f'bad letter {bad}')}$"):
+            word(letters)
+        return
+    w = word(letters)
+    assert w == word_by_merging(letters)
+    assert Word(w.letters) == w  # it passes the checks it skipped
+    inverse = word_by_merging([(g, -e) for g, e in reversed(letters)])
+    assert w.inv() == inverse and Word(w.inv().letters) == inverse
+
+
+@pytest.mark.parametrize("letters,message", [
+    ((("X", 1),), "bad letter ('X', 1)"),
+    ((("S", 0),), "bad letter ('S', 0)"),
+    ((("T", 2), ("S", 1), ("S", -2)), "word is not freely reduced"),
+    ((("S", 1), ("S", -1)), "word is not freely reduced"),
+])
+def test_word_built_directly_keeps_its_checks(letters, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Word(letters)
+
+
 def test_homogeneous_s_order_four():
     w = word([("S", 2)])
     assert eval_word(w) == -IDENTITY
