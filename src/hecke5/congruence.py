@@ -435,22 +435,25 @@ def _ideal_divisors(n: int) -> list[GoldenInt]:
 
 
 @lru_cache(maxsize=64)
-def _test_moduli(big: int) -> tuple[Modulus, ...]:
-    """The ideal divisors of (big), least norm first: shared by every row
-    whose test modulus is `big`."""
-    return tuple(Modulus.ideal(d) for d in
-                 sorted(_ideal_divisors(big), key=lambda g: abs(g.norm())))
+def _test_moduli(big: int) -> tuple[tuple[Modulus, int], ...]:
+    """The ideal divisors d of (big), least norm first, each with |Q(d)|:
+    shared by every row whose test modulus is `big`."""
+    moduli = sorted(map(Modulus.ideal, _ideal_divisors(big)),
+                    key=lambda m: m.ring_size)
+    return tuple((m, quotient_order(m)) for m in moduli)
 
 
 def algebraic_level(t: CosetTable, big: int) -> Modulus | None:
     """Least-norm ideal (d) dividing (big) with G(d) <= K, or None.
 
-    Each divisor's walk stops at its first conflict.  The passing divisors
-    are closed under gcd (a test checks this on the census), so the first
-    one to pass is the algebraic level.
+    G(d) <= K makes K / G(d) a subgroup of index [G5 : K] in Q(d), so a
+    divisor whose |Q(d)| that index does not divide is skipped unwalked.
+    Each other divisor's walk stops at its first conflict.  The passing
+    divisors are closed under gcd (a test checks this on the census), so
+    the first one to pass is the algebraic level.
     """
-    for d in _test_moduli(big):
-        if next(_conflicts(t, d), None) is None:
+    for d, order in _test_moduli(big):
+        if order % t.degree == 0 and next(_conflicts(t, d), None) is None:
             return d
     return None
 

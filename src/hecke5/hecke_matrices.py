@@ -83,7 +83,7 @@ class Word:
 
     def __post_init__(self):
         for gen, exp in self.letters:
-            if gen not in ("S", "T") or exp == 0:
+            if gen not in ("S", "T") or type(exp) is not int or not exp:
                 raise ValueError(f"bad letter {(gen, exp)}")
         for (g1, _), (g2, _) in zip(self.letters, self.letters[1:]):
             if g1 == g2:

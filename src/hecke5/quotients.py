@@ -22,13 +22,14 @@ from collections.abc import Iterator, Set
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from math import gcd
 from pathlib import Path
 from typing import AbstractSet, Callable
 
 from .closure import DEFAULT_ELEMENT_CAP, UndecidedError
 from .closure import normal_closure as _normal_closure_engine
-from .golden_ring import Modulus, classify_rational_prime, factor, ring_tables
+from .golden_ring import (
+    Modulus, RingTables, classify_rational_prime, factor, ring_tables,
+)
 from .hecke_matrices import GMat, S_MAT, T_MAT
 
 Key = tuple[int, int, int, int]
@@ -166,41 +167,64 @@ class QuotientGroup:
         return _signed(neg, t) if self.projective else t
 
     def order_histogram(self) -> Counter:
-        """Element orders by power walks over cyclic subgroups.
+        """Element orders, by one power walk per class of a key that fixes
+        the order.
 
-        Each element is numbered by its place k = i |U| + j in `_kernel`'s
-        mod-1 stream, (1 0; u 1) t with t = reps[i] and u = shifts[j].  A
-        key's place comes from its row, which gives i, and from
-        u = c d_t - d c_t, as in `_row_orbit`.  Each x met without an order
-        is multiplied by itself back to the identity, n steps, and every
-        power x^e gets the order n / gcd(e, n).  The orders fill one array
-        of |Q| entries; no set or dict is keyed by element."""
+        Take x = (a b; c d) with det 1 and trace t = a + d.  By
+        Cayley-Hamilton x^2 = t x - I, so x^n = s_n x - s_(n-1) I, where
+        s_0 = 0, s_1 = 1 and s_(n+1) = t s_n - s_(n-1).  Hence x^n = e I iff
+        s_n b = s_n c = 0 and s_n a - s_(n-1) = e = s_n d - s_(n-1).  The
+        first two say that s_n annihilates the ideal J = (b, c) of
+        R = Z[L]/modulus; then s_n a depends on a mod J alone, and
+        s_n d = s_n (t - a).  So the least n with x^n = I (homogeneous), or
+        x^n = +-I (projective, on the stored key), depends on
+        (t, J, a mod J) alone.  The stream of `elements` counts these keys
+        and keeps the first element of each, whose powers through `mult`
+        give the key's order."""
         stream = iter(self.elements)  # refused above the cap before the orbit
-        reps, shifts = self._orbit
-        mul, mult, identity = self._mul, self._mult, self.identity
         r = ring_tables(self.modulus)
-        red, neg, width = r.red, r.neg, len(shifts)
-        size = self.modulus.ring_size
-        row = {t[0] * size + t[1]: i for i, t in enumerate(reps)}
-        col = [0] * size
-        for j, u in enumerate(shifts):
-            col[u] = j
-        # sized by the orbit: a count other than |Q| ends in `_kernel`'s error
-        orders = array("I", [0]) * (len(reps) * width)
-        for k, x in enumerate(stream):
-            if orders[k]:
-                continue
-            places, y = [k], x
+        red, wide = r.red, r.wide
+        ideal, join, coset = _ideals(r, self._mul)
+        classes: dict[tuple[int, int, int], list] = {}
+        for x in stream:
+            a, b, c, d = x
+            j = join[ideal[b]][ideal[c]]
+            key = (red[wide[a] + wide[d]], j, coset[j][a])
+            if seen := classes.get(key):
+                seen[0] += 1
+            else:
+                classes[key] = [1, x]
+        hist, mult, identity = Counter(), self._mult, self.identity
+        for count, x in classes.values():
+            n, y = 1, x
             while y != identity:
-                y = mult(y, x)
-                i = row[y[0] * size + y[1]]
-                t = reps[i]
-                places.append(i * width + col[red[mul[y[2]][t[3]]
-                                                   + mul[neg[y[3]]][t[2]]]])
-            n = len(places)
-            for e, place in enumerate(places, 1):
-                orders[place] = n // gcd(e, n)
-        return Counter(orders)
+                y, n = mult(y, x), n + 1
+            hist[n] += count
+        return hist
+
+
+def _ideals(r: RingTables, mul: list[list[int]]):
+    """The ideals of R = Z[L]/m, numbered: `ideal[v]` is the number of (v),
+    `join[i][j]` that of the sum of ideals i and j, and `coset[i][x]` the
+    least index in x + ideal i.  R is a quotient of the Dedekind domain
+    Z[L], so each of its ideals is some (v), the set of spaced values in
+    `mul[v]`; the sum of two ideals is then the least ideal holding both."""
+    red, wide, size = r.red, r.wide, len(r.wide)
+    number: dict[frozenset[int], int] = {}
+    ideal = [number.setdefault(frozenset(mul[v]), len(number))
+             for v in range(size)]
+    sets = list(number)
+    join = [[min((k for k, s in enumerate(sets) if i | j <= s),
+                 key=lambda k: len(sets[k])) for j in sets] for i in sets]
+    coset = []
+    for s in sets:
+        label = [-1] * size
+        for x in range(size):
+            if label[x] < 0:
+                for w in s:
+                    label[red[wide[x] + w]] = x
+        coset.append(label)
+    return ideal, join, coset
 
 
 @dataclass(frozen=True)
@@ -392,6 +416,15 @@ class _KernelMembers(Set):
         return frozenset(it)
 
 
+def refuse_kernel(q: QuotientGroup, m: Modulus, size: int) -> None:
+    """Undecided if the kernel of q mod m, of `size` elements, passes the
+    element cap."""
+    if size > q.element_cap:
+        raise UndecidedError(f"the kernel of Q({q.modulus}) mod {m} has "
+                             f"{size} elements, above the element cap of "
+                             f"{q.element_cap}")
+
+
 def _kernel(q: QuotientGroup, m: Modulus, size: int) -> Iterator[Key]:
     """The `size` (1 0; u 1) t = (a b; ua+c ub+d) of `_row_orbit` that are
     (+-)I mod m: t's row is (+-)(1, 0) and ua+c = 0, so u = -c/a with
@@ -401,10 +434,7 @@ def _kernel(q: QuotientGroup, m: Modulus, size: int) -> Iterator[Key]:
     t's row, so its key is already `_signed`, and no two are equal.  The
     orbit is independent of `quotient_order`, which gives `size`: a walk
     that yields a different count ends in an error."""
-    if size > q.element_cap:
-        raise UndecidedError(f"the kernel of Q({q.modulus}) mod {m} has "
-                             f"{size} elements, above the element cap of "
-                             f"{q.element_cap}")
+    refuse_kernel(q, m, size)
     mul = q._mul
     big, small = ring_tables(q.modulus), ring_tables(m)
     red, wide = big.red, big.wide

@@ -24,7 +24,8 @@ from .hecke_matrices import (
 )
 from .quotients import (
     build_quotient, check_elementary_abelian, kernel_subgroup, normal_closure,
-    orbit_order, sl2_enumeration_order, sl_index_formula, subgroup_closure,
+    orbit_order, refuse_kernel, sl2_enumeration_order, sl_index_formula,
+    subgroup_closure,
 )
 
 
@@ -150,8 +151,11 @@ def check_closure(lemma: str, **params) -> CheckResult:
         raise ValueError(error)
     modulus, power, level = instance(**params)
     q = build_quotient(Modulus.rational(modulus), projective=True)
+    below = Modulus.rational(level)
+    k = kernel_subgroup(q, below)
+    # with the kernel above the cap no relation can pass: refuse it first
+    refuse_kernel(q, below, k.order)
     h = normal_closure(q, [eval_word(word([("T", power)]))])
-    k = kernel_subgroup(q, Modulus.rational(level))
     return _result(check_id, params, relation(h.members, k.members),
                    f"closure {h.order}, kernel {k.order}")
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hecke5 import __version__, cli, quotients
+from hecke5 import __version__, cli, quotients, verify
 from hecke5.cli import main
 from hecke5.congruence import (
     CongruenceReport, CosetTable, is_congruence, schreier_generators,
@@ -71,7 +71,7 @@ class TestQuotient:
                        "8:122880, 10:49152, 16:245760, 20:196608\n")
 
     def test_histogram_cap_boundary(self, capsys):
-        # |Q(8)| = 10240: the order array is refused one below it
+        # |Q(8)| = 10240: the element stream is refused one below it
         code, out, err = invoke(capsys, "quotient", "--mod", "8",
                                 "--histogram", "--element-cap", "10239")
         assert (code, out) == (2, "")
@@ -283,13 +283,29 @@ class TestVerify:
         assert "unrecognized arguments: --element-cap" in capsys.readouterr().err
 
     def test_element_cap_is_undecided(self, capsys, low_element_cap):
-        # the normal closure of T mod 7 is all 58800 elements of Q(7)
+        # the normal closure of T mod 7 would be all 58800 elements of Q(7),
+        # the kernel mod 1, which is refused before the closure starts
         code, out, err = invoke(capsys, "verify", "--lemma", "3.3",
                                 "--m", "1", "--n", "7")
         assert code == 2
         assert out == ""
-        assert err == (f"undecided: closure reached the element cap of "
+        assert err == (f"undecided: the kernel of Q(7) mod 1 has 58800 "
+                       f"elements, above the element cap of "
                        f"{low_element_cap}\n")
+
+    def test_kernel_above_the_cap_is_undecided_at_once(self, capsys,
+                                                       monkeypatch):
+        def closure(*args):
+            raise AssertionError("started the closure")
+
+        monkeypatch.setattr(verify, "normal_closure", closure)
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "verify", "--lemma", "3.3",
+                                "--m", "1", "--n", "31")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == ("undecided: the kernel of Q(31) mod 1 has 442828800 "
+                       "elements, above the element cap of 2000000\n")
 
     def test_outside_the_domain_is_an_input_error(self, capsys):
         code, out, err = invoke(capsys, "verify", "--lemma", "2.2",

@@ -754,6 +754,25 @@ class TestCensus:
         assert len(rows) == 5192
         assert found == {"(3+L)": 22, "(1-3*L)": 22}
 
+    def test_divisor_skip_changes_no_level(self):
+        """`algebraic_level` skips a divisor d whose |Q(d)| the index does
+        not divide.  On every row at index <= 9, each skipped divisor fails
+        its walk, and the level is the first divisor by norm whose walk
+        passes, with none skipped."""
+        skipped = 0
+        for n in range(1, 10):
+            for t, (_, big, level) in census_rows(n):
+                walked = None
+                for d in sorted(map(Modulus.ideal, _ideal_divisors(big)),
+                                key=lambda d: d.ring_size):
+                    if quotient_order(d) % n:
+                        assert not passes(t, d), (t, d)
+                        skipped += 1
+                    elif walked is None and passes(t, d):
+                        walked = d
+                assert level == walked, t
+        assert skipped == 501
+
     def test_congruence_monodromy_divides_the_level_quotient(self):
         """A congruence K of level A contains G(A), so core(K) does, and P
         is a quotient of Q(A): |P| divides `quotient_order(A)`.  This ties

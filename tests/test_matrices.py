@@ -108,6 +108,11 @@ def test_word_matches_the_merge_loop(letters):
     ((("S", 0),), "bad letter ('S', 0)"),
     ((("T", 2), ("S", 1), ("S", -2)), "word is not freely reduced"),
     ((("S", 1), ("S", -1)), "word is not freely reduced"),
+    ((("S", 1.5),), "bad letter ('S', 1.5)"),
+    ((("S", True),), "bad letter ('S', True)"),
+    ((("T", False),), "bad letter ('T', False)"),
+    ((("T", "2"),), "bad letter ('T', '2')"),
+    ((("S", 1), ("T", 2.0)), "bad letter ('T', 2.0)"),
 ])
 def test_word_built_directly_keeps_its_checks(letters, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -184,13 +184,14 @@ def histogram_by_element(group):
 
 @pytest.mark.parametrize("projective", [True, False])
 @pytest.mark.parametrize("mod", [
-    *(Modulus.rational(n) for n in (1, 2, 3, 4, 5, 6, 8, 9, 12)),
-    *(Modulus.ideal(GoldenInt(a, b)) for a, b in [(2, 1), (4, 2), (3, 1)]),
+    *(Modulus.rational(n) for n in (1, 2, 3, 4, 5, 6, 8, 9, 10, 12)),
+    *(Modulus.ideal(GoldenInt(a, b))
+      for a, b in [(2, 1), (4, 2), (3, 1), (4, 1)]),
 ], ids=str)
 def test_histogram_matches_the_oracle(mod, projective):
-    """Power walks over cyclic subgroups against each element's own order;
-    the counts add up to |Q|, one element has order 1, and every order
-    divides |Q|."""
+    """One power walk per (trace, (b, c), a mod (b, c)) key against each
+    element's own order; the counts add up to |Q|, one element has order 1,
+    and every order divides |Q|.  (4+L) is a split prime of norm 19."""
     group = build_quotient(mod, projective)
     hist = group.order_histogram()
     assert hist == histogram_by_element(group)
